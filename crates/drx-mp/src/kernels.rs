@@ -11,7 +11,12 @@
 //! * **blocked transpose** — when the two sides disagree on their
 //!   fastest-varying dimension (C-order chunks into a FORTRAN-order buffer:
 //!   the paper's on-the-fly transposition), the copy is tiled over the two
-//!   fast dimensions so both access streams stay cache-resident.
+//!   fast dimensions, and every tile line runs along the *large buffer's*
+//!   contiguous dimension (the destination of a scatter, the source of a
+//!   gather) while the chunk image, a few dozen KiB, stays in L1. Walking
+//!   the chunk instead would stride the large buffer by its leading
+//!   dimension; at power-of-two leading dimensions every such write maps
+//!   to the same L1 set and the tile thrashes.
 //! * **generic** — per-element strided walk; the fallback for rank-1
 //!   transposes-to-self and non-viewable targets (big-endian hosts).
 //!
@@ -101,14 +106,17 @@ fn advance_outer(idx: &mut [usize], region: &Region, d0: usize, d1: usize) -> bo
     false
 }
 
-/// Visit `(offset_a, offset_b)` for every index of `region`, in an order
-/// blocked into [`TILE`]×[`TILE`] tiles over dimensions `d0` (outer tile
-/// loop) and `d1` (inner): the cache-blocked schedule of an in-core
-/// transpose. Offsets are element offsets relative to `origin_*` under
-/// `strides_*`, exactly as in
-/// [`for_each_offset_pair`](drx_core::index::for_each_offset_pair).
+/// Visit every index of `region` in [`TILE`]×[`TILE`] tiles over
+/// dimensions `d0` (outer tile loop) and `d1` (inner), one tile line at a
+/// time: `f(offset_a, offset_b, n)` covers `n` consecutive indices along
+/// `d1`, starting at element offsets `offset_a`/`offset_b` relative to
+/// `origin_*` under `strides_*` (as in
+/// [`for_each_offset_pair`](drx_core::index::for_each_offset_pair)). This
+/// is the cache-blocked schedule of an in-core transpose; callers pick `d1`
+/// as the large buffer's contiguous dimension, so every line is one
+/// sequential run there while the chunk side stays cache-resident.
 #[allow(clippy::too_many_arguments)] // mirrors for_each_offset_pair's shape + the two tile dims
-fn for_each_offset_pair_tiled(
+fn for_each_tile_line(
     region: &Region,
     origin_a: &[usize],
     strides_a: &[u64],
@@ -116,7 +124,7 @@ fn for_each_offset_pair_tiled(
     strides_b: &[u64],
     d0: usize,
     d1: usize,
-    mut f: impl FnMut(u64, u64),
+    mut f: impl FnMut(u64, u64, usize),
 ) {
     debug_assert!(d0 != d1);
     let k = region.rank();
@@ -138,15 +146,11 @@ fn for_each_offset_pair_tiled(
             let mut t1 = lo[d1];
             while t1 < hi[d1] {
                 let e1 = (t1 + TILE).min(hi[d1]);
+                let line_a = base_a + (t1 - lo[d1]) as u64 * strides_a[d1];
+                let line_b = base_b + (t1 - lo[d1]) as u64 * strides_b[d1];
                 for i0 in t0..e0 {
-                    let row_a = base_a + (i0 - lo[d0]) as u64 * strides_a[d0];
-                    let row_b = base_b + (i0 - lo[d0]) as u64 * strides_b[d0];
-                    for i1 in t1..e1 {
-                        f(
-                            row_a + (i1 - lo[d1]) as u64 * strides_a[d1],
-                            row_b + (i1 - lo[d1]) as u64 * strides_b[d1],
-                        );
-                    }
+                    let step = (i0 - lo[d0]) as u64;
+                    f(line_a + step * strides_a[d0], line_b + step * strides_b[d0], e1 - t1);
                 }
                 t1 = e1;
             }
@@ -205,11 +209,15 @@ pub fn scatter_chunk<T: Element>(
             return;
         }
     }
-    let d0 = fastest_dim(out_strides);
-    let d1 = fastest_dim(chunk_strides);
+    // Destination-sequential transpose: each tile line is a contiguous
+    // run of `out` read from a strided column of the cache-resident chunk.
+    let d0 = fastest_dim(chunk_strides);
+    let d1 = fastest_dim(out_strides);
     if k >= 2 && d0 != d1 {
-        let mut n = 0u64;
-        for_each_offset_pair_tiled(
+        let src_step = chunk_strides[d1] as usize * T::SIZE;
+        let dst_step = out_strides[d1] as usize;
+        let mut moved = 0u64;
+        for_each_tile_line(
             valid,
             chunk_lo,
             chunk_strides,
@@ -217,13 +225,24 @@ pub fn scatter_chunk<T: Element>(
             out_strides,
             d0,
             d1,
-            |src, dst| {
-                let sb = src as usize * T::SIZE;
-                out[dst as usize] = T::read_le(&chunk[sb..sb + T::SIZE]);
-                n += 1;
+            |src, dst, n| {
+                moved += n as u64;
+                let (sb, db) = (src as usize * T::SIZE, dst as usize);
+                let src = chunk[sb..sb + (n - 1) * src_step + T::SIZE].chunks(src_step);
+                if dst_step == 1 {
+                    if let Some(line) = T::as_le_bytes_mut(&mut out[db..db + n]) {
+                        for (d, s) in line.chunks_exact_mut(T::SIZE).zip(src) {
+                            d.copy_from_slice(&s[..T::SIZE]);
+                        }
+                        return;
+                    }
+                }
+                for (d, s) in out[db..].iter_mut().step_by(dst_step).zip(src) {
+                    *d = T::read_le(s);
+                }
             },
         );
-        TILED_ELEMS.fetch_add(n, Ordering::Relaxed);
+        TILED_ELEMS.fetch_add(moved, Ordering::Relaxed);
         return;
     }
     let mut n = 0u64;
@@ -275,12 +294,15 @@ pub fn gather_chunk<T: Element>(
             return;
         }
     }
+    // Source-sequential here: `data` is the large buffer, so each tile line
+    // walks its contiguous dimension and writes a strided chunk column.
     let d0 = fastest_dim(chunk_strides);
     let d1 = fastest_dim(data_strides);
     let mut tmp = Vec::with_capacity(T::SIZE);
     if k >= 2 && d0 != d1 {
-        let mut n = 0u64;
-        for_each_offset_pair_tiled(
+        let (src_step, dst_step) = (data_strides[d1], chunk_strides[d1]);
+        let mut moved = 0u64;
+        for_each_tile_line(
             valid,
             data_lo,
             data_strides,
@@ -288,15 +310,17 @@ pub fn gather_chunk<T: Element>(
             chunk_strides,
             d0,
             d1,
-            |src, dst| {
-                let db = dst as usize * T::SIZE;
-                tmp.clear();
-                data[src as usize].write_le(&mut tmp);
-                chunk[db..db + T::SIZE].copy_from_slice(&tmp);
-                n += 1;
+            |src, dst, n| {
+                for i in 0..n as u64 {
+                    let db = (dst + i * dst_step) as usize * T::SIZE;
+                    tmp.clear();
+                    data[(src + i * src_step) as usize].write_le(&mut tmp);
+                    chunk[db..db + T::SIZE].copy_from_slice(&tmp);
+                }
+                moved += n as u64;
             },
         );
-        TILED_ELEMS.fetch_add(n, Ordering::Relaxed);
+        TILED_ELEMS.fetch_add(moved, Ordering::Relaxed);
         return;
     }
     let mut n = 0u64;
@@ -466,6 +490,58 @@ mod tests {
         let region = Region::new(vec![0, 0], vec![70, 90]).unwrap();
         check_case::<i64>(&[70, 90], &[0, 0], &region, Layout::Fortran, |v| v as i64);
         check_case::<f32>(&[64, 128], &[0, 0], &region, Layout::Fortran, |v| v as f32);
+    }
+
+    #[test]
+    fn transposes_into_large_power_of_two_fortran_buffers_match_reference() {
+        // A 4096-row FORTRAN buffer: consecutive columns sit 32 KiB apart,
+        // so a chunk-ordered walk would hit one L1 set per tile line. Chunks
+        // cover aligned, boundary-clipped and unaligned positions.
+        let before = kernel_stats();
+        let region = Region::new(vec![0, 0], vec![4096, 130]).unwrap();
+        let cases: [([usize; 2], [usize; 2]); 8] = [
+            ([64, 64], [0, 0]),
+            ([64, 64], [4032, 64]),
+            ([64, 64], [100, 100]),
+            ([1, 64], [17, 3]),
+            ([1, 130], [4095, 0]),
+            ([64, 1], [2000, 129]),
+            ([4096, 1], [0, 7]),
+            ([33, 97], [4070, 40]),
+        ];
+        for (shape, origin) in cases {
+            check_case::<f64>(&shape, &origin, &region, Layout::Fortran, |v| v as f64 + 0.5);
+        }
+        // 3-D: a 1024-element leading dimension and a 4096-element plane.
+        let region = Region::new(vec![0, 0, 0], vec![1024, 4, 64]).unwrap();
+        for origin in [[0usize, 0, 0], [512, 0, 32], [1000, 2, 60]] {
+            for layout in [Layout::C, Layout::Fortran] {
+                check_case::<f64>(&[32, 4, 16], &origin, &region, layout, |v| v as f64);
+                check_case::<Complex64>(&[64, 1, 8], &origin, &region, layout, |v| {
+                    Complex64::new(v as f64, 1.0)
+                });
+            }
+        }
+        let d = kernel_stats().delta_since(&before);
+        assert!(d.tiled_elems > 0, "FORTRAN scatters must take the transpose path: {d:?}");
+    }
+
+    #[test]
+    fn transpose_into_non_unit_stride_destination_matches_reference() {
+        // Every other slot of a 256-row FORTRAN buffer: no line of the
+        // destination is contiguous, so the strided per-element line runs.
+        let chunk_shape = [64usize, 64];
+        let vals: Vec<f64> = (0..64 * 64).map(|v| v as f64).collect();
+        let bytes = drx_core::dtype::encode_slice(&vals);
+        let chunk_strides = row_major(&chunk_shape);
+        let out_strides = [2u64, 512];
+        let valid = Region::new(vec![10, 3], vec![64, 50]).unwrap();
+        let mut fast = vec![0.0f64; 512 * 64];
+        scatter_chunk(&bytes, &[0, 0], &chunk_strides, &mut fast, &[0, 0], &out_strides, &valid);
+        let mut reference = vec![0.0f64; 512 * 64];
+        let r = &mut reference;
+        scatter_reference(&bytes, &[0, 0], &chunk_strides, r, &[0, 0], &out_strides, &valid);
+        assert_eq!(fast, reference);
     }
 
     #[test]

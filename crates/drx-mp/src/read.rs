@@ -14,14 +14,34 @@
 //! FORTRAN): the on-the-fly transposition that removes the need for
 //! out-of-core transposes.
 //!
+//! Independent reads (here and in [`crate::DrxFile`]) never stage the
+//! whole region: [`ChunkPlan::read_windowed`] fetches the address-sorted
+//! entries one bounded staging window at a time — one stripe round of the
+//! file system — and scatters each window while it is still in cache. Only
+//! the collective read holds a region-sized buffer, because two-phase I/O
+//! redistributes the aggregate request in one exchange.
+//!
 //! [`ExtendibleShape::region_runs`]: drx_core::ExtendibleShape::region_runs
 
 use crate::error::Result;
 use crate::handle::DrxmpHandle;
 use crate::kernels;
 use drx_core::plan::ChunkRun;
-use drx_core::{Element, Layout, Region};
+use drx_core::{Chunking, Element, Layout, Region};
 use drx_msg::Datatype;
+use drx_pfs::Pfs;
+use std::cell::Cell;
+use std::ops::Range;
+
+/// Upper bound on a staging window, so it stays resident in a core's L2
+/// next to the destination stream however wide the stripe round is.
+const STAGING_MAX_BYTES: u64 = 1 << 20;
+
+thread_local! {
+    /// The calling thread's staging window, reused across reads so its
+    /// pages are touched once rather than on every call.
+    static STAGING: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// A planned chunk access: the run decomposition of the chunk set plus one
 /// entry per chunk in file-address order, ready to become a file view or a
@@ -104,15 +124,89 @@ impl ChunkPlan {
     /// order, adjacent chunks merged — the vectored request the
     /// independent fast path issues directly.
     pub fn byte_extents(&self) -> Vec<(u64, u64)> {
+        self.byte_extents_of(0..self.len())
+    }
+
+    /// [`ChunkPlan::byte_extents`] of the entries in `range` only.
+    fn byte_extents_of(&self, range: Range<usize>) -> Vec<(u64, u64)> {
         let cb = self.chunk_bytes;
         let mut out: Vec<(u64, u64)> = Vec::new();
-        for &(addr, _, _) in &self.entries {
+        for &(addr, _, _) in &self.entries[range] {
             match out.last_mut() {
                 Some((off, len)) if *off + *len == addr * cb => *len += cb,
                 _ => out.push((addr * cb, cb)),
             }
         }
         out
+    }
+
+    /// Staging-window size in whole chunks: one stripe round of `pfs`
+    /// (`n_servers × stripe_size`, so a window's requests reach every
+    /// server once), at most [`STAGING_MAX_BYTES`], at least one chunk.
+    fn window_chunks(&self, pfs: &Pfs) -> usize {
+        let round = pfs.n_servers() as u64 * pfs.stripe_size();
+        (round.min(STAGING_MAX_BYTES) / self.chunk_bytes).max(1) as usize
+    }
+
+    /// Scatter the chunk images in `bytes` — entries `first..`, one chunk
+    /// per `chunk_bytes` — into `out`, the dense buffer of `region` under
+    /// `strides`. Chunks outside `region` are skipped.
+    pub fn scatter<T: Element>(
+        &self,
+        first: usize,
+        bytes: &[u8],
+        chunking: &Chunking,
+        region: &Region,
+        strides: &[u64],
+        out: &mut [T],
+    ) -> Result<()> {
+        let cb = self.chunk_bytes as usize;
+        let mut idx = Vec::new();
+        for (i, chunk) in (first..).zip(bytes.chunks_exact(cb)) {
+            self.write_index_at(i, &mut idx);
+            let chunk_region = chunking.chunk_elements(&idx)?;
+            let Some(valid) = chunk_region.intersect(region) else { continue };
+            kernels::scatter_chunk(
+                chunk,
+                chunk_region.lo(),
+                chunking.strides(),
+                out,
+                region.lo(),
+                strides,
+                &valid,
+            );
+        }
+        Ok(())
+    }
+
+    /// Independent read of `region` in `layout` order through a bounded
+    /// staging window: one `read` (a vectored extent request) per window
+    /// of whole, address-sorted entries, each window scattered before the
+    /// next is fetched. The window is sized from `pfs`'s stripe geometry
+    /// and is never larger than the plan.
+    pub fn read_windowed<T: Element>(
+        &self,
+        pfs: &Pfs,
+        chunking: &Chunking,
+        region: &Region,
+        layout: Layout,
+        mut read: impl FnMut(&[(u64, u64)], &mut [u8]) -> Result<()>,
+    ) -> Result<Vec<T>> {
+        let strides = layout.strides(&region.extents());
+        let mut out = vec![T::default(); region.volume() as usize];
+        let per_window = self.window_chunks(pfs);
+        let cb = self.chunk_bytes as usize;
+        // An error drops the buffer; the thread's next read allocates anew.
+        let mut staging = STAGING.take();
+        staging.resize(per_window.min(self.len()) * cb, 0);
+        for first in (0..self.len()).step_by(per_window) {
+            let entries = first..(first + per_window).min(self.len());
+            let window = &mut staging[..entries.len() * cb];
+            read(&self.byte_extents_of(entries), window)?;
+            self.scatter(first, window, chunking, region, &strides, &mut out)?;
+        }
+        STAGING.set(staging);
+        Ok(out)
     }
 
     /// Consume the plan into `(chunk index, address)` pairs in entry
@@ -149,38 +243,6 @@ impl<T: Element> DrxmpHandle<T> {
         ChunkPlan::from_pairs(chunks, self.meta.chunk_bytes())
     }
 
-    /// Scatter raw chunk bytes into a dense element buffer for `region` in
-    /// `layout` order.
-    pub(crate) fn scatter_chunks(
-        &self,
-        plan: &ChunkPlan,
-        bytes: &[u8],
-        region: &Region,
-        layout: Layout,
-    ) -> Result<Vec<T>> {
-        let extents = region.extents();
-        let strides = layout.strides(&extents);
-        let chunk_strides = self.meta.chunking().strides();
-        let cb = plan.chunk_bytes as usize;
-        let mut out = vec![T::default(); region.volume() as usize];
-        let mut idx = Vec::new();
-        for i in 0..plan.len() {
-            plan.write_index_at(i, &mut idx);
-            let chunk_region = self.meta.chunking().chunk_elements(&idx)?;
-            let Some(valid) = chunk_region.intersect(region) else { continue };
-            kernels::scatter_chunk(
-                &bytes[i * cb..(i + 1) * cb],
-                chunk_region.lo(),
-                chunk_strides,
-                &mut out,
-                region.lo(),
-                &strides,
-                &valid,
-            );
-        }
-        Ok(out)
-    }
-
     /// Execute a plan's raw reads. `collective` uses two-phase `read_all`
     /// through an indexed file view; independent reads issue the merged
     /// extents directly as one vectored request (no view churn).
@@ -201,8 +263,9 @@ impl<T: Element> DrxmpHandle<T> {
     /// memory layout (`DRXMP_Read`).
     pub fn read_region(&mut self, region: &Region, layout: Layout) -> Result<Vec<T>> {
         let plan = self.plan_region(region)?;
-        let bytes = self.fetch_plan(&plan, false)?;
-        self.scatter_chunks(&plan, &bytes, region, layout)
+        plan.read_windowed(&self.pfs, self.meta.chunking(), region, layout, |extents, buf| {
+            Ok(self.xta.read_extents(extents, buf)?)
+        })
     }
 
     /// Collective read (`DRXMP_Read_all`): every rank passes its own region
@@ -213,7 +276,10 @@ impl<T: Element> DrxmpHandle<T> {
             Some(r) => {
                 let plan = self.plan_region(r)?;
                 let bytes = self.fetch_plan(&plan, true)?;
-                self.scatter_chunks(&plan, &bytes, r, layout)
+                let strides = layout.strides(&r.extents());
+                let mut out = vec![T::default(); r.volume() as usize];
+                plan.scatter(0, &bytes, self.meta.chunking(), r, &strides, &mut out)?;
+                Ok(out)
             }
             None => {
                 let plan = self.plan_chunks(Vec::new());

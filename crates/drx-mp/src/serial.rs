@@ -191,34 +191,14 @@ impl<T: Element> DrxFile<T> {
 
     /// Read a rectilinear element region into a dense buffer with the
     /// requested memory layout. Chunks are fetched in increasing file
-    /// address order (sequential scan) and elements are scattered to their
-    /// in-memory positions — the on-the-fly transposition of §II-A.
+    /// address order (sequential scan), one bounded staging window at a
+    /// time, and elements are scattered to their in-memory positions — the
+    /// on-the-fly transposition of §II-A.
     pub fn read_region(&self, region: &Region, layout: Layout) -> Result<Vec<T>> {
         let plan = self.plan(region)?;
-        let cb = self.meta.chunk_bytes() as usize;
-        let mut bytes = vec![0u8; plan.bytes()];
-        // One vectored request over the merged chunk extents.
-        self.xta.read_extents_into(&plan.byte_extents(), &mut bytes)?;
-        let extents = region.extents();
-        let strides = layout.strides(&extents);
-        let chunk_strides = self.meta.chunking().strides();
-        let mut out = vec![T::default(); region.volume() as usize];
-        let mut idx = Vec::new();
-        for i in 0..plan.len() {
-            plan.write_index_at(i, &mut idx);
-            let chunk_region = self.meta.chunking().chunk_elements(&idx)?;
-            let Some(valid) = chunk_region.intersect(region) else { continue };
-            crate::kernels::scatter_chunk(
-                &bytes[i * cb..(i + 1) * cb],
-                chunk_region.lo(),
-                chunk_strides,
-                &mut out,
-                region.lo(),
-                &strides,
-                &valid,
-            );
-        }
-        Ok(out)
+        plan.read_windowed(&self.pfs, self.meta.chunking(), region, layout, |extents, buf| {
+            Ok(self.xta.read_extents_into(extents, buf)?)
+        })
     }
 
     /// Write a dense buffer (in the given layout) into an element region.

@@ -50,10 +50,12 @@ impl MemBackend {
 impl Storage for MemBackend {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         let data = self.data.lock();
-        let off = offset as usize;
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = data.get(off + i).copied().unwrap_or(0);
-        }
+        // Copy the written prefix of the range, zero the hole beyond it.
+        let start = usize::try_from(offset).unwrap_or(usize::MAX).min(data.len());
+        let kept = (data.len() - start).min(buf.len());
+        let (prefix, hole) = buf.split_at_mut(kept);
+        prefix.copy_from_slice(&data[start..start + kept]);
+        hole.fill(0);
         Ok(())
     }
 
@@ -338,6 +340,53 @@ mod tests {
         let mut buf = [0u8; 4];
         b.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"aabb");
+    }
+
+    #[test]
+    fn mem_backend_reads_zero_beyond_written_length() {
+        let b = MemBackend::new();
+        b.write_at(0, b"abcdef").unwrap();
+        // Straddling the written length: the prefix, then zeros.
+        let mut buf = [9u8; 8];
+        b.read_at(3, &mut buf).unwrap();
+        assert_eq!(&buf, b"def\0\0\0\0\0");
+        // Wholly past the written length (including an offset beyond any
+        // addressable `usize` on the stored vector): all zeros.
+        for offset in [6, 100, u64::MAX] {
+            let mut buf = [9u8; 5];
+            b.read_at(offset, &mut buf).unwrap();
+            assert_eq!(buf, [0; 5], "offset {offset}");
+        }
+        // Zero-length reads anywhere are no-ops.
+        for offset in [0, 6, 1000] {
+            b.read_at(offset, &mut []).unwrap();
+        }
+        assert_eq!(b.len().unwrap(), 6);
+    }
+
+    #[test]
+    fn faulty_short_read_over_mem_backend_fills_exactly_the_kept_prefix() {
+        use drx_fault::{Event, FaultKind, Script};
+        let script = Script {
+            seed: 0,
+            events: vec![Event {
+                at_op: 0,
+                domain: None,
+                op: Some(Op::Read),
+                kind: FaultKind::ShortRead,
+            }],
+        };
+        let inner = MemBackend::new();
+        inner.write_at(0, b"abcdefgh").unwrap();
+        let b = FaultyBackend::new(Box::new(inner), Arc::new(Injector::new(script)), 0);
+        let mut buf = [9u8; 8];
+        assert!(matches!(
+            b.read_at(0, &mut buf),
+            Err(PfsError::ShortIo { server: 0, expected: 8, got: 4 })
+        ));
+        // The kept prefix is filled; the rest of the caller's buffer is
+        // untouched.
+        assert_eq!(&buf, b"abcd\x09\x09\x09\x09");
     }
 
     #[test]
