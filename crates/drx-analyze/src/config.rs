@@ -30,6 +30,8 @@ pub const L1_CALL_METHODS: &[&str] = &[
     "wait_count",
     "locked_chunks",
     "ensure_resident",
+    "read_frames",
+    "write_frames",
     "read_chunks",
     "put_chunk",
     "credit",
@@ -40,10 +42,14 @@ pub const L1_CALL_METHODS: &[&str] = &[
     "coalesced_batches",
     "batched_chunks",
     "session_count",
+    "release",
     // drx-mp pool
     "prefetch",
     "put",
     "fault_in",
+    "frame",
+    "frame_mut",
+    "make_room",
     "evict",
     "clear",
     // drx-pfs file / server layer

@@ -7,7 +7,8 @@
 //! * **memcpy rows** — when the innermost dimension is contiguous on *both*
 //!   sides (row-major chunk image, C-order buffer) and the element type
 //!   exposes a little-endian byte view, whole rows move with one
-//!   `copy_from_slice` each instead of one decode per element.
+//!   `copy_from_slice` each instead of one decode per element
+//!   ([`copy_rows`], which also serves untyped byte images).
 //! * **blocked transpose** — when the two sides disagree on their
 //!   fastest-varying dimension (C-order chunks into a FORTRAN-order buffer:
 //!   the paper's on-the-fly transposition), the copy is tiled over the two
@@ -162,6 +163,42 @@ fn for_each_tile_line(
     }
 }
 
+/// Copy the elements of `valid` between two little-endian byte images of
+/// `esize`-byte elements, one `copy_from_slice` per row: the memcpy kernel.
+/// Both sides must be contiguous along the last dimension
+/// (`src_strides`/`dst_strides` end in 1); `src_lo`/`dst_lo` are the
+/// images' low corners, as in
+/// [`for_each_row_pair`](drx_core::index::for_each_row_pair).
+///
+/// This is the only row loop: the memcpy branches of [`scatter_chunk`] and
+/// [`gather_chunk`] call it, and `drx-server` copies between cache frames
+/// and wire payloads with it directly.
+#[allow(clippy::too_many_arguments)] // two (image, origin, strides) triples + region + size
+pub fn copy_rows(
+    src: &[u8],
+    src_lo: &[usize],
+    src_strides: &[u64],
+    dst: &mut [u8],
+    dst_lo: &[usize],
+    dst_strides: &[u64],
+    valid: &Region,
+    esize: usize,
+) {
+    let k = valid.rank();
+    debug_assert!(src_strides[k - 1] == 1 && dst_strides[k - 1] == 1);
+    let mut rows = 0u64;
+    let mut bytes = 0u64;
+    for_each_row_pair(valid, src_lo, src_strides, dst_lo, dst_strides, |s, d, n| {
+        let (sb, db, nb) = (s as usize * esize, d as usize * esize, n * esize);
+        dst[db..db + nb].copy_from_slice(&src[sb..sb + nb]);
+        rows += 1;
+        bytes += nb as u64;
+    });
+    MEMCPY_CALLS.fetch_add(1, Ordering::Relaxed);
+    MEMCPY_ROWS.fetch_add(rows, Ordering::Relaxed);
+    MEMCPY_BYTES.fetch_add(bytes, Ordering::Relaxed);
+}
+
 /// Scatter the elements of `valid` from a chunk byte image into a dense
 /// element buffer.
 ///
@@ -186,26 +223,7 @@ pub fn scatter_chunk<T: Element>(
     let k = valid.rank();
     if chunk_strides[k - 1] == 1 && out_strides[k - 1] == 1 {
         if let Some(view) = T::as_le_bytes_mut(out) {
-            let mut rows = 0u64;
-            let mut bytes = 0u64;
-            for_each_row_pair(
-                valid,
-                chunk_lo,
-                chunk_strides,
-                out_lo,
-                out_strides,
-                |src, dst, n| {
-                    let sb = src as usize * T::SIZE;
-                    let db = dst as usize * T::SIZE;
-                    let nb = n * T::SIZE;
-                    view[db..db + nb].copy_from_slice(&chunk[sb..sb + nb]);
-                    rows += 1;
-                    bytes += nb as u64;
-                },
-            );
-            MEMCPY_CALLS.fetch_add(1, Ordering::Relaxed);
-            MEMCPY_ROWS.fetch_add(rows, Ordering::Relaxed);
-            MEMCPY_BYTES.fetch_add(bytes, Ordering::Relaxed);
+            copy_rows(chunk, chunk_lo, chunk_strides, view, out_lo, out_strides, valid, T::SIZE);
             return;
         }
     }
@@ -271,26 +289,7 @@ pub fn gather_chunk<T: Element>(
     let k = valid.rank();
     if chunk_strides[k - 1] == 1 && data_strides[k - 1] == 1 {
         if let Some(view) = T::as_le_bytes(data) {
-            let mut rows = 0u64;
-            let mut bytes = 0u64;
-            for_each_row_pair(
-                valid,
-                data_lo,
-                data_strides,
-                chunk_lo,
-                chunk_strides,
-                |src, dst, n| {
-                    let sb = src as usize * T::SIZE;
-                    let db = dst as usize * T::SIZE;
-                    let nb = n * T::SIZE;
-                    chunk[db..db + nb].copy_from_slice(&view[sb..sb + nb]);
-                    rows += 1;
-                    bytes += nb as u64;
-                },
-            );
-            MEMCPY_CALLS.fetch_add(1, Ordering::Relaxed);
-            MEMCPY_ROWS.fetch_add(rows, Ordering::Relaxed);
-            MEMCPY_BYTES.fetch_add(bytes, Ordering::Relaxed);
+            copy_rows(view, data_lo, data_strides, chunk, chunk_lo, chunk_strides, valid, T::SIZE);
             return;
         }
     }

@@ -41,7 +41,8 @@ pub use api::{
 pub use error::{MpError, Result};
 pub use ga::GaView;
 pub use handle::DrxmpHandle;
-pub use kernels::{gather_chunk, kernel_stats, scatter_chunk, KernelStats};
+pub use kernels::{copy_rows, gather_chunk, kernel_stats, scatter_chunk, KernelStats};
 pub use mpool::{CachedDrxFile, ChunkPool, PoolStats, PrefetchOutcome};
+pub use read::ChunkPlan;
 pub use serial::{DrxFile, XMD_SUFFIX, XTA_SUFFIX};
 pub use zones::DistSpec;

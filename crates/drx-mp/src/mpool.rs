@@ -146,39 +146,44 @@ impl ChunkPool {
         self.stats = PoolStats::default();
     }
 
-    fn touch(&mut self, addr: u64) {
-        self.clock += 1;
-        if let Some(f) = self.frames.get_mut(&addr) {
-            f.last_used = self.clock;
-        }
-    }
-
     /// Ensure chunk `addr` is resident; fault it in (and evict the LRU
     /// victim, writing back if dirty) as needed.
-    fn fault_in(&mut self, addr: u64) -> Result<()> {
+    fn fault_in(&mut self, addr: u64) -> Result<&mut Frame> {
         if self.frames.contains_key(&addr) {
             self.stats.hits += 1;
-            self.touch(addr);
-            return Ok(());
+            self.clock += 1;
+            let frame = self.frames.get_mut(&addr).expect("checked resident");
+            frame.last_used = self.clock;
+            return Ok(frame);
         }
-        if self.frames.len() >= self.capacity {
-            // Evict the least recently used frame.
-            let victim = self
-                .frames
-                .iter()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(&a, _)| a)
-                .expect("pool is non-empty");
-            self.evict(victim)?;
-        }
+        self.make_room()?;
         let off = addr * self.chunk_bytes as u64;
         let data = self.file.read_vec(off, self.chunk_bytes)?;
         // The miss is recorded only once the fetch succeeded: a faulted
         // read leaves the counters describing work that actually happened.
         self.stats.misses += 1;
+        Ok(self.install(addr, data, false))
+    }
+
+    /// Evict the least recently used frame if the pool is full.
+    fn make_room(&mut self) -> Result<()> {
+        if self.frames.len() < self.capacity {
+            return Ok(());
+        }
+        let victim = self
+            .frames
+            .iter()
+            .min_by_key(|(_, f)| f.last_used)
+            .map(|(&a, _)| a)
+            .expect("a full pool is non-empty");
+        self.evict(victim)
+    }
+
+    /// Insert a frame for a non-resident `addr` as the most recently used
+    /// (the caller made room).
+    fn install(&mut self, addr: u64, data: Vec<u8>, dirty: bool) -> &mut Frame {
         self.clock += 1;
-        self.frames.insert(addr, Frame { data, dirty: false, last_used: self.clock });
-        Ok(())
+        self.frames.entry(addr).or_insert(Frame { data, dirty, last_used: self.clock })
     }
 
     fn evict(&mut self, addr: u64) -> Result<()> {
@@ -199,6 +204,35 @@ impl ChunkPool {
         Ok(())
     }
 
+    /// Borrow the resident image of chunk `addr`, faulting it in first on
+    /// a miss. Counts exactly as [`ChunkPool::read`] does: one hit, or one
+    /// miss plus any eviction it forces. Callers copy straight out of the
+    /// frame; no chunk-sized buffer is made.
+    pub fn frame(&mut self, addr: u64) -> Result<&[u8]> {
+        Ok(&self.fault_in(addr)?.data)
+    }
+
+    /// Borrow the image of chunk `addr` for writing and mark it dirty
+    /// (write-back on eviction or [`ChunkPool::flush`]).
+    ///
+    /// With `overwrite`, the caller promises to replace every byte: a
+    /// non-resident chunk is then installed zeroed, without I/O, and counts
+    /// as [`ChunkPool::put`] does (a hit if resident, a miss otherwise).
+    /// Without it, the chunk is faulted in first (read-modify-write) and
+    /// counts as [`ChunkPool::write`] does.
+    pub fn frame_mut(&mut self, addr: u64, overwrite: bool) -> Result<&mut [u8]> {
+        let frame = if overwrite && !self.frames.contains_key(&addr) {
+            self.make_room()?;
+            self.stats.misses += 1;
+            let data = vec![0u8; self.chunk_bytes];
+            self.install(addr, data, true)
+        } else {
+            self.fault_in(addr)?
+        };
+        frame.dirty = true;
+        Ok(&mut frame.data)
+    }
+
     /// Read bytes `range` of chunk `addr` through the cache.
     pub fn read(&mut self, addr: u64, offset: usize, buf: &mut [u8]) -> Result<()> {
         if offset + buf.len() > self.chunk_bytes {
@@ -208,9 +242,7 @@ impl ChunkPool {
                 self.chunk_bytes
             )));
         }
-        self.fault_in(addr)?;
-        let frame = self.frames.get(&addr).expect("just faulted in");
-        buf.copy_from_slice(&frame.data[offset..offset + buf.len()]);
+        buf.copy_from_slice(&self.frame(addr)?[offset..offset + buf.len()]);
         Ok(())
     }
 
@@ -224,10 +256,7 @@ impl ChunkPool {
                 self.chunk_bytes
             )));
         }
-        self.fault_in(addr)?;
-        let frame = self.frames.get_mut(&addr).expect("just faulted in");
-        frame.data[offset..offset + data.len()].copy_from_slice(data);
-        frame.dirty = true;
+        self.frame_mut(addr, false)?[offset..offset + data.len()].copy_from_slice(data);
         Ok(())
     }
 
@@ -245,25 +274,7 @@ impl ChunkPool {
                 self.chunk_bytes
             )));
         }
-        if let Some(frame) = self.frames.get_mut(&addr) {
-            frame.data.copy_from_slice(data);
-            frame.dirty = true;
-            self.stats.hits += 1;
-            self.touch(addr);
-            return Ok(());
-        }
-        self.stats.misses += 1;
-        if self.frames.len() >= self.capacity {
-            let victim = self
-                .frames
-                .iter()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(&a, _)| a)
-                .expect("pool is non-empty");
-            self.evict(victim)?;
-        }
-        self.clock += 1;
-        self.frames.insert(addr, Frame { data: data.to_vec(), dirty: true, last_used: self.clock });
+        self.frame_mut(addr, true)?.copy_from_slice(data);
         Ok(())
     }
 
@@ -314,18 +325,9 @@ impl ChunkPool {
         self.file.read_extents_into(&extents, &mut bytes)?;
         self.stats.misses += missing.len() as u64;
         for (k, &addr) in missing.iter().enumerate() {
-            if self.frames.len() >= self.capacity {
-                let victim = self
-                    .frames
-                    .iter()
-                    .min_by_key(|(_, f)| f.last_used)
-                    .map(|(&a, _)| a)
-                    .expect("pool is non-empty");
-                self.evict(victim)?;
-            }
-            self.clock += 1;
+            self.make_room()?;
             let data = bytes[k * self.chunk_bytes..(k + 1) * self.chunk_bytes].to_vec();
-            self.frames.insert(addr, Frame { data, dirty: false, last_used: self.clock });
+            self.install(addr, data, false);
         }
         Ok(out)
     }
@@ -411,25 +413,23 @@ impl<T: Element> CachedDrxFile<T> {
     }
 
     /// Read a region through the cache, chunk at a time (run-coalesced
-    /// planning, kernel scatter straight from the cached chunk image).
+    /// planning, kernel scatter straight from the resident frame).
     pub fn read_region(&mut self, region: &Region, layout: Layout) -> Result<Vec<T>> {
-        let chunking = self.inner.meta().chunking().clone();
+        let chunking = self.inner.meta().chunking();
         let chunk_region = chunking.chunks_covering(region)?;
         let runs = self.inner.meta().grid().region_runs(&chunk_region)?;
         let extents = region.extents();
         let strides = layout.strides(&extents);
         let mut out = vec![T::default(); region.volume() as usize];
-        let cb = self.inner.meta().chunk_bytes() as usize;
-        let mut bytes = vec![0u8; cb];
         let mut idx = Vec::new();
         for run in &runs {
             for t in 0..run.len {
                 run.write_index_at(t, &mut idx);
-                self.pool.read(run.addr_at(t), 0, &mut bytes)?;
+                let frame = self.pool.frame(run.addr_at(t))?;
                 let chunk_elems = chunking.chunk_elements(&idx)?;
                 let Some(valid) = chunk_elems.intersect(region) else { continue };
                 crate::kernels::scatter_chunk(
-                    &bytes,
+                    frame,
                     chunk_elems.lo(),
                     chunking.strides(),
                     &mut out,
@@ -515,6 +515,66 @@ mod tests {
         assert_eq!(pool.stats().writebacks, 2);
         assert_eq!(f.read_vec(64, 1).unwrap(), vec![1]);
         assert_eq!(f.read_vec(192, 1).unwrap(), vec![3]);
+    }
+
+    #[test]
+    fn frames_count_like_read_put_and_write() {
+        // One access sequence through the copying calls (pool `a`) and
+        // through frame borrows (pool `b`) must leave identical counters
+        // after every step, and identical files after a flush.
+        let fs = pfs();
+        let make = |name: &str| {
+            let f = fs.create(name).unwrap();
+            f.set_len(64 * 6).unwrap();
+            (f.clone(), ChunkPool::new(f, 64, 2).unwrap())
+        };
+        let (fa, mut a) = make("a");
+        let (fb, mut b) = make("b");
+        // (0 = read / frame, 1 = put / overwriting frame_mut,
+        //  2 = write / read-modify-write frame_mut, chunk address)
+        let ops = [(0, 0), (0, 0), (1, 1), (2, 2), (0, 1), (1, 3), (2, 0), (0, 4), (1, 4), (2, 5)];
+        let mut buf = [0u8; 64];
+        for (op, addr) in ops {
+            let v = [addr as u8 + 1; 64];
+            match op {
+                0 => {
+                    a.read(addr, 0, &mut buf).unwrap();
+                    assert_eq!(b.frame(addr).unwrap(), &buf[..]);
+                }
+                1 => {
+                    a.put(addr, &v).unwrap();
+                    b.frame_mut(addr, true).unwrap().copy_from_slice(&v);
+                }
+                _ => {
+                    a.write(addr, 8, &v[..8]).unwrap();
+                    b.frame_mut(addr, false).unwrap()[8..16].copy_from_slice(&v[..8]);
+                }
+            }
+            assert_eq!(a.stats(), b.stats(), "op {op} on chunk {addr}");
+        }
+        let st = a.stats();
+        assert!(st.hits > 0 && st.misses > 0 && st.evictions > 0 && st.writebacks > 0, "{st:?}");
+        a.flush().unwrap();
+        b.flush().unwrap();
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(fa.read_vec(0, 64 * 6).unwrap(), fb.read_vec(0, 64 * 6).unwrap());
+    }
+
+    #[test]
+    fn overwriting_frame_mut_installs_without_io() {
+        let fs = pfs();
+        let f = fs.create("p").unwrap();
+        f.set_len(64 * 4).unwrap();
+        f.write_at(64, &[5; 64]).unwrap();
+        let mut pool = ChunkPool::new(f.clone(), 64, 2).unwrap();
+        fs.reset_stats();
+        assert_eq!(pool.frame_mut(1, true).unwrap(), &[0u8; 64][..]);
+        assert_eq!(fs.stats().total_requests(), 0);
+        // Without `overwrite`, the current contents are faulted in.
+        assert_eq!(pool.frame_mut(3, false).unwrap(), &[0u8; 64][..]);
+        assert_eq!(fs.stats().total_requests(), 1);
+        pool.flush().unwrap();
+        assert_eq!(f.read_vec(64, 64).unwrap(), vec![0; 64]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::error::Result;
 use crate::handle::DrxmpHandle;
 use crate::kernels;
 use drx_core::plan::ChunkRun;
-use drx_core::{Chunking, Element, Layout, Region};
+use drx_core::{ArrayMeta, Chunking, Element, Layout, Region};
 use drx_msg::Datatype;
 use drx_pfs::Pfs;
 use std::cell::Cell;
@@ -44,23 +44,35 @@ thread_local! {
 }
 
 /// A planned chunk access: the run decomposition of the chunk set plus one
-/// entry per chunk in file-address order, ready to become a file view or a
-/// vectored extent list.
-pub(crate) struct ChunkPlan {
+/// entry per chunk in file-address order, ready to become a file view, a
+/// vectored extent list, or a walk over cached chunk frames.
+///
+/// This is the one region planner: `DrxFile`, `DrxmpHandle` and the
+/// `drx-server` region pipeline all plan through it.
+pub struct ChunkPlan {
     /// Run decomposition, in row-major chunk-index order (runs from
     /// different rows may interleave in address space).
-    pub runs: Vec<ChunkRun>,
+    pub(crate) runs: Vec<ChunkRun>,
     /// `(address, run, step)` per planned chunk, sorted by address. Entry
     /// `i` owns byte slot `i` of the plan's transfer buffer.
-    pub entries: Vec<(u64, u32, u32)>,
-    pub chunk_bytes: u64,
+    pub(crate) entries: Vec<(u64, u32, u32)>,
+    pub(crate) chunk_bytes: u64,
 }
 
 impl ChunkPlan {
+    /// Plan the chunks covering `region` of the array `meta` describes:
+    /// run-coalesced `F*` planning, entries sorted by address. The caller
+    /// has checked `region` against the array's bounds.
+    pub fn for_region(meta: &ArrayMeta, region: &Region) -> Result<ChunkPlan> {
+        let chunk_region = meta.chunking().chunks_covering(region)?;
+        let runs = meta.grid().region_runs(&chunk_region)?;
+        Ok(ChunkPlan::from_runs(runs, meta.chunk_bytes()))
+    }
+
     /// Plan from a run decomposition (region reads/writes). Entries are
     /// sorted by address; `F*` is a bijection, so addresses are strictly
     /// increasing afterwards.
-    pub fn from_runs(runs: Vec<ChunkRun>, chunk_bytes: u64) -> ChunkPlan {
+    pub(crate) fn from_runs(runs: Vec<ChunkRun>, chunk_bytes: u64) -> ChunkPlan {
         let entries = drx_core::sorted_run_entries(&runs);
         ChunkPlan { runs, entries, chunk_bytes }
     }
@@ -68,7 +80,7 @@ impl ChunkPlan {
     /// Plan from an explicit `(chunk index, address)` list that is already
     /// sorted by address (zone chunk lists are). Each chunk becomes a
     /// length-1 run, so no re-sort is needed.
-    pub fn from_pairs(pairs: Vec<(Vec<usize>, u64)>, chunk_bytes: u64) -> ChunkPlan {
+    pub(crate) fn from_pairs(pairs: Vec<(Vec<usize>, u64)>, chunk_bytes: u64) -> ChunkPlan {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].1 < w[1].1),
             "chunk lists must be pre-sorted by strictly increasing address"
@@ -87,8 +99,29 @@ impl ChunkPlan {
         self.entries.len()
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The planned chunk addresses, strictly increasing.
+    pub fn addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().map(|&(addr, _, _)| addr)
+    }
+
+    /// The element box of every planned chunk, in entry order — the whole
+    /// allocated chunk, including any slack beyond the element bounds.
+    pub fn chunk_regions(&self, chunking: &Chunking) -> Result<Vec<Region>> {
+        let mut idx = Vec::new();
+        (0..self.len())
+            .map(|i| {
+                self.write_index_at(i, &mut idx);
+                Ok(chunking.chunk_elements(&idx)?)
+            })
+            .collect()
+    }
+
     /// Total bytes the plan transfers.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.entries.len() * self.chunk_bytes as usize
     }
 
@@ -101,7 +134,7 @@ impl ChunkPlan {
 
     /// The indexed filetype over the planned chunk addresses (the paper's
     /// `filetype`), with adjacent chunks merged into one block.
-    pub fn filetype(&self) -> Result<Option<Datatype>> {
+    pub(crate) fn filetype(&self) -> Result<Option<Datatype>> {
         if self.entries.is_empty() {
             return Ok(None);
         }
@@ -123,7 +156,7 @@ impl ChunkPlan {
     /// The plan's file byte ranges `(offset, len)` in increasing offset
     /// order, adjacent chunks merged — the vectored request the
     /// independent fast path issues directly.
-    pub fn byte_extents(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn byte_extents(&self) -> Vec<(u64, u64)> {
         self.byte_extents_of(0..self.len())
     }
 
@@ -151,7 +184,7 @@ impl ChunkPlan {
     /// Scatter the chunk images in `bytes` — entries `first..`, one chunk
     /// per `chunk_bytes` — into `out`, the dense buffer of `region` under
     /// `strides`. Chunks outside `region` are skipped.
-    pub fn scatter<T: Element>(
+    pub(crate) fn scatter<T: Element>(
         &self,
         first: usize,
         bytes: &[u8],
@@ -184,7 +217,7 @@ impl ChunkPlan {
     /// of whole, address-sorted entries, each window scattered before the
     /// next is fetched. The window is sized from `pfs`'s stripe geometry
     /// and is never larger than the plan.
-    pub fn read_windowed<T: Element>(
+    pub(crate) fn read_windowed<T: Element>(
         &self,
         pfs: &Pfs,
         chunking: &Chunking,
@@ -212,7 +245,7 @@ impl ChunkPlan {
     /// Consume the plan into `(chunk index, address)` pairs in entry
     /// (address) order. Length-1 runs give up their index vector without
     /// cloning — the common case for zone plans.
-    pub fn into_index_addr_pairs(mut self) -> Vec<(Vec<usize>, u64)> {
+    pub(crate) fn into_index_addr_pairs(mut self) -> Vec<(Vec<usize>, u64)> {
         self.entries
             .iter()
             .map(|&(addr, run, step)| {
@@ -233,9 +266,7 @@ impl<T: Element> DrxmpHandle<T> {
     /// address-sorted entries).
     pub(crate) fn plan_region(&self, region: &Region) -> Result<ChunkPlan> {
         self.check_region(region)?;
-        let chunk_region = self.meta.chunking().chunks_covering(region)?;
-        let runs = self.meta.grid().region_runs(&chunk_region)?;
-        Ok(ChunkPlan::from_runs(runs, self.meta.chunk_bytes()))
+        ChunkPlan::for_region(&self.meta, region)
     }
 
     /// Plan an explicit address-sorted chunk list (zone reads).

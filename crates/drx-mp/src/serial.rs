@@ -166,9 +166,7 @@ impl<T: Element> DrxFile<T> {
     /// are sorted by linear address — the sequential-scan order of §II-A.
     fn plan(&self, region: &Region) -> Result<ChunkPlan> {
         self.check_region(region)?;
-        let chunk_region = self.meta.chunking().chunks_covering(region)?;
-        let runs = self.meta.grid().region_runs(&chunk_region)?;
-        Ok(ChunkPlan::from_runs(runs, self.meta.chunk_bytes()))
+        ChunkPlan::for_region(&self.meta, region)
     }
 
     fn check_region(&self, region: &Region) -> Result<()> {

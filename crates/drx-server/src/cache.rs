@@ -2,7 +2,9 @@
 //!
 //! One [`SharedChunkCache`] sits in front of each array's `.xta` payload
 //! file, wrapping a `drx_mp::ChunkPool` (the Mpool stand-in) behind a
-//! mutex so every session of the server shares one set of frames.
+//! mutex so every session of the server shares one set of frames. Region
+//! I/O works on those frames in place ([`SharedChunkCache::read_frames`],
+//! [`SharedChunkCache::write_frames`]); no chunk is copied out.
 //!
 //! Misses are gathered with a *group-commit* scheme: a session wanting
 //! chunks enqueues the addresses and the first session to find no fetch in
@@ -150,25 +152,74 @@ impl SharedChunkCache {
         }
     }
 
-    /// Read whole chunks, faulting misses in as one coalesced batch.
-    /// Returns the chunks' bytes in the order of `addrs`.
-    pub fn read_chunks(&self, session: u64, addrs: &[u64]) -> Result<Vec<Vec<u8>>> {
+    /// Visit the resident frames of `addrs` in order, under one pool guard,
+    /// after faulting the misses in as one coalesced batch: `f(i, frame)`
+    /// gets chunk `addrs[i]`'s bytes in place, so no chunk is copied on the
+    /// way through. A chunk evicted again before its turn is refaulted on
+    /// its own. `f` runs under the pool guard and must not block.
+    pub fn read_frames(
+        &self,
+        session: u64,
+        addrs: &[u64],
+        mut f: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
         if addrs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         self.ensure_resident(session, addrs)?;
         let mut pool = self.pool.lock();
         let before = pool.stats();
-        let cb = pool.chunk_bytes();
-        let mut out = Vec::with_capacity(addrs.len());
-        for &a in addrs {
-            let mut buf = vec![0u8; cb];
-            pool.read(a, 0, &mut buf)?;
-            out.push(buf);
-        }
+        let result = addrs.iter().enumerate().try_for_each(|(i, &a)| {
+            f(i, pool.frame(a)?);
+            Ok(())
+        });
         let delta = pool.stats().delta_since(&before);
         drop(pool);
         self.credit(session, delta);
+        result
+    }
+
+    /// Write through the frames of `addrs` in order, under one pool guard:
+    /// `f(i, frame)` updates chunk `addrs[i]` in place and the frame turns
+    /// dirty (write-back). A chunk with `full[i]` is one the caller
+    /// overwrites entirely, so it is installed without I/O as
+    /// [`ChunkPool::put`] does; the others are read-modify-written, their
+    /// misses faulted in first as one coalesced batch.
+    ///
+    /// A read-modify-write counts its read access and its write access; a
+    /// full overwrite counts one access, as `put` does.
+    pub fn write_frames(
+        &self,
+        session: u64,
+        addrs: &[u64],
+        full: &[bool],
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<()> {
+        let partial: Vec<u64> =
+            addrs.iter().zip(full).filter(|&(_, &full)| !full).map(|(&a, _)| a).collect();
+        if !partial.is_empty() {
+            self.ensure_resident(session, &partial)?;
+        }
+        let mut pool = self.pool.lock();
+        let before = pool.stats();
+        let result = addrs.iter().zip(full).enumerate().try_for_each(|(i, (&a, &full))| {
+            if !full {
+                pool.frame(a)?;
+            }
+            f(i, pool.frame_mut(a, full)?);
+            Ok(())
+        });
+        let delta = pool.stats().delta_since(&before);
+        drop(pool);
+        self.credit(session, delta);
+        result
+    }
+
+    /// Read whole chunks, faulting misses in as one coalesced batch.
+    /// Returns the chunks' bytes in the order of `addrs`.
+    pub fn read_chunks(&self, session: u64, addrs: &[u64]) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::with_capacity(addrs.len());
+        self.read_frames(session, addrs, |_, frame| out.push(frame.to_vec()))?;
         Ok(out)
     }
 

@@ -111,6 +111,10 @@ pub enum Response {
     Error { code: u16, message: String },
 }
 
+/// Length of the header of a `Data` response body — the status byte and
+/// the `u32` payload length — which the payload bytes follow.
+pub const DATA_HEADER: usize = 5;
+
 // ---------------------------------------------------------------------------
 // Body codec
 // ---------------------------------------------------------------------------
@@ -341,6 +345,15 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
+/// The header of a `Data` response body carrying `len` payload bytes:
+/// `encode_response(&Response::Data { data })` is this header followed by
+/// `data`, so a server can produce the payload in place behind it.
+pub fn data_header(len: u32) -> [u8; DATA_HEADER] {
+    let mut header = [RESP_DATA, 0, 0, 0, 0];
+    header[1..].copy_from_slice(&len.to_le_bytes());
+    header
+}
+
 /// Decode a response body.
 pub fn decode_response(body: &[u8]) -> Result<Response> {
     let mut b = Body::new(body);
@@ -427,19 +440,27 @@ pub fn write_frame(w: &mut impl Write, body: &[u8], limit: usize) -> Result<()> 
 /// field is untrusted input). Returns `Ok(None)` on clean EOF at a frame
 /// boundary.
 pub fn read_frame(r: &mut impl Read, limit: usize) -> Result<Option<Vec<u8>>> {
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, limit, &mut body)?.then_some(body))
+}
+
+/// [`read_frame`] into `body`, reusing its allocation; `body` holds
+/// exactly the frame body afterwards. Returns `Ok(false)` on clean EOF at
+/// a frame boundary.
+pub fn read_frame_into(r: &mut impl Read, limit: usize, body: &mut Vec<u8>) -> Result<bool> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(false),
         Err(e) => return Err(ServerError::protocol(format!("frame header: {e}"))),
     }
     let n = u32::from_le_bytes(len) as usize;
     if n > limit {
         return Err(ServerError::protocol(format!("frame of {n} bytes exceeds limit {limit}")));
     }
-    let mut body = vec![0u8; n];
-    r.read_exact(&mut body).map_err(|e| ServerError::protocol(format!("frame body: {e}")))?;
-    Ok(Some(body))
+    body.resize(n, 0);
+    r.read_exact(body).map_err(|e| ServerError::protocol(format!("frame body: {e}")))?;
+    Ok(true)
 }
 
 /// Convenience: a `ServerError` rendered as an error response.

@@ -21,13 +21,22 @@
 //!   a pre-extend snapshot remain correct while the array grows.
 //! * **Chunk I/O** goes through one [`SharedChunkCache`] per array, which
 //!   merges concurrent misses into coalesced PFS reads.
+//!
+//! A region request is planned with `drx-mp`'s [`ChunkPlan`] against a
+//! metadata snapshot, locked, and copied row by row ([`copy_rows`])
+//! between the resident cache frames and the payload — over TCP straight
+//! into the connection's reply frame (DESIGN.md §8). An array is retired,
+//! with its cache frames, when its last handle closes.
 
 use crate::cache::SharedChunkCache;
 use crate::error::{ErrorCode, Result, ServerError};
 use crate::lock::{LockMode, RangeLockManager};
-use crate::proto::{ArrayInfo, Request, Response, StatReply};
+use crate::proto::{
+    data_header, encode_response, error_response, ArrayInfo, Request, Response, StatReply,
+    DATA_HEADER,
+};
 use drx_core::{index, ArrayMeta, Region};
-use drx_mp::{XMD_SUFFIX, XTA_SUFFIX};
+use drx_mp::{copy_rows, ChunkPlan, XMD_SUFFIX, XTA_SUFFIX};
 use drx_pfs::{Pfs, PfsFile};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -50,8 +59,10 @@ impl Default for ServerConfig {
 /// One open array: metadata, payload file, lock manager, shared cache.
 pub(crate) struct ArrayState {
     name: String,
+    // A request's bounds snapshot is a pointer clone; `extend` swaps in
+    // the grown metadata.
     // lock-class: meta => ArrayMeta
-    meta: RwLock<ArrayMeta>,
+    meta: RwLock<Arc<ArrayMeta>>,
     xmd: PfsFile,
     xta: PfsFile,
     locks: RangeLockManager,
@@ -60,6 +71,12 @@ pub(crate) struct ArrayState {
 
 struct Session {
     handles: HashMap<u32, Arc<ArrayState>>,
+}
+
+/// A registry entry: an open array and how many session handles hold it.
+struct Registered {
+    state: Arc<ArrayState>,
+    handles: usize,
 }
 
 // The canonical DRX lock-order DAG (DESIGN.md §9): a thread may only
@@ -90,7 +107,7 @@ struct Inner {
     pfs: Pfs,
     config: ServerConfig,
     // lock-class: arrays => ServerArrays
-    arrays: Mutex<HashMap<String, Arc<ArrayState>>>,
+    arrays: Mutex<HashMap<String, Registered>>,
     // lock-class: inner.sessions => ServerSessions
     sessions: Mutex<HashMap<u64, Session>>,
     next_session: AtomicU64,
@@ -142,14 +159,13 @@ impl Server {
         id
     }
 
-    /// End a session: drops its handles, flushes the touched arrays, and
-    /// retires its cache statistics.
+    /// End a session: releases its handles, flushing the touched arrays,
+    /// dropping its cache statistics and retiring arrays no session holds.
     pub fn close_session(&self, session: u64) {
         let Some(state) = self.inner.sessions.lock().remove(&session) else { return };
         for array in state.handles.values() {
             // allow-discard: teardown flush is best-effort; session is going away
-            let _ = array.cache.flush();
-            array.cache.drop_session(session);
+            let _ = self.release(session, array);
         }
     }
 
@@ -159,7 +175,8 @@ impl Server {
 
     /// Flush every open array's cache to storage.
     pub fn flush_all(&self) -> Result<()> {
-        let arrays: Vec<Arc<ArrayState>> = self.inner.arrays.lock().values().cloned().collect();
+        let arrays: Vec<Arc<ArrayState>> =
+            self.inner.arrays.lock().values().map(|r| Arc::clone(&r.state)).collect();
         for a in arrays {
             a.cache.flush()?;
         }
@@ -188,14 +205,19 @@ impl Server {
                         chunk_shape: to_u64_dims(meta.chunking().shape()),
                     }
                 };
-                self.session_mut(session, |s| {
+                if let Err(e) = self.session_mut(session, |s| {
                     s.handles.insert(handle, Arc::clone(&array));
-                })?;
+                }) {
+                    // allow-discard: the session is gone; report that instead
+                    let _ = self.release(session, &array);
+                    return Err(e);
+                }
                 Ok(Response::Opened { handle, info })
             }
             Request::ReadRegion { handle, lo, hi } => {
                 let array = self.resolve(session, handle)?;
-                let data = read_region(&array, session, &lo, &hi)?;
+                let mut data = Vec::new();
+                read_region(&array, session, &lo, &hi, usize::MAX, 0, &mut data)?;
                 Ok(Response::Data { data })
             }
             Request::WriteRegion { handle, lo, hi, data } => {
@@ -217,11 +239,64 @@ impl Server {
                     self.session_mut(session, |s| s.handles.remove(&handle))?.ok_or_else(|| {
                         ServerError::new(ErrorCode::BadHandle, format!("unknown handle {handle}"))
                     })?;
-                array.cache.flush()?;
-                array.cache.drop_session(session);
+                self.release(session, &array)?;
                 Ok(Response::Closed)
             }
         }
+    }
+
+    /// Execute a `ReadRegion` for a framed transport and return its
+    /// encoded reply body, built in `reply`: the region's bytes are copied
+    /// from the cache frames straight in behind the `Data` header. `reply`
+    /// is reused across requests and only grows, so a warm connection
+    /// neither allocates nor zero-fills. A body longer than `limit` (the
+    /// negotiated frame cap) is refused with `FrameTooLarge` before any
+    /// planning, locking or allocation.
+    pub(crate) fn read_region_reply<'a>(
+        &self,
+        session: u64,
+        handle: u32,
+        lo: &[u64],
+        hi: &[u64],
+        limit: usize,
+        reply: &'a mut Vec<u8>,
+    ) -> &'a [u8] {
+        let limit = limit.min(u32::MAX as usize);
+        let read = self
+            .resolve(session, handle)
+            .and_then(|array| read_region(&array, session, lo, hi, limit, DATA_HEADER, reply));
+        match read {
+            Ok(len) => {
+                // `DATA_HEADER + len <= limit <= u32::MAX`: the length fits.
+                reply[..DATA_HEADER].copy_from_slice(&data_header(len as u32));
+                &reply[..DATA_HEADER + len]
+            }
+            Err(e) => {
+                *reply = encode_response(&error_response(&e));
+                reply
+            }
+        }
+    }
+
+    /// Release one session handle on `array`: flush it, drop the session's
+    /// cache statistics, and retire the array — remove it from the
+    /// registry, freeing its frames — once no handle holds it. Deciding
+    /// under the registry lock means a concurrent `Open` either holds the
+    /// registered array or reads the files afresh. An array whose flush
+    /// failed stays registered with its dirty frames for a later flush.
+    fn release(&self, session: u64, array: &Arc<ArrayState>) -> Result<()> {
+        let flushed = array.cache.flush();
+        array.cache.drop_session(session);
+        let mut arrays = self.inner.arrays.lock();
+        if let Some(entry) = arrays.get_mut(&array.name) {
+            if Arc::ptr_eq(&entry.state, array) {
+                entry.handles -= 1;
+                if entry.handles == 0 && flushed.is_ok() {
+                    arrays.remove(&array.name);
+                }
+            }
+        }
+        flushed
     }
 
     fn session_mut<R>(&self, session: u64, f: impl FnOnce(&mut Session) -> R) -> Result<R> {
@@ -238,10 +313,13 @@ impl Server {
         })
     }
 
+    /// Open `name` for one new handle: the registered array, or a fresh
+    /// one read from the files. The caller owes a [`Server::release`].
     fn open_array(&self, name: &str) -> Result<Arc<ArrayState>> {
         let mut arrays = self.inner.arrays.lock();
-        if let Some(a) = arrays.get(name) {
-            return Ok(Arc::clone(a));
+        if let Some(entry) = arrays.get_mut(name) {
+            entry.handles += 1;
+            return Ok(Arc::clone(&entry.state));
         }
         let pfs = &self.inner.pfs;
         let xmd = pfs.open(&format!("{name}{XMD_SUFFIX}")).map_err(|_| {
@@ -259,13 +337,13 @@ impl Server {
         )?;
         let state = Arc::new(ArrayState {
             name: name.to_string(),
-            meta: RwLock::new(meta),
+            meta: RwLock::new(Arc::new(meta)),
             xmd,
             xta,
             locks: RangeLockManager::new(),
             cache,
         });
-        arrays.insert(name.to_string(), Arc::clone(&state));
+        arrays.insert(name.to_string(), Registered { state: Arc::clone(&state), handles: 1 });
         Ok(state)
     }
 
@@ -300,15 +378,6 @@ impl Server {
     }
 }
 
-/// The chunk plan of a region under a metadata snapshot: the covered
-/// chunks' grid indices and linear addresses, sorted by address.
-fn plan(meta: &ArrayMeta, region: &Region) -> Result<Vec<(Vec<usize>, u64)>> {
-    let chunk_region = meta.chunking().chunks_covering(region)?;
-    let mut pairs = meta.grid().region_addresses(&chunk_region)?;
-    pairs.sort_by_key(|&(_, a)| a);
-    Ok(pairs)
-}
-
 /// Validate `[lo, hi)` against a metadata snapshot and build the region.
 fn checked_region(meta: &ArrayMeta, lo: &[u64], hi: &[u64]) -> Result<Region> {
     let lo = to_usize_dims(lo)?;
@@ -332,43 +401,63 @@ fn checked_region(meta: &ArrayMeta, lo: &[u64], hi: &[u64]) -> Result<Region> {
     Ok(region)
 }
 
-fn read_region(array: &ArrayState, session: u64, lo: &[u64], hi: &[u64]) -> Result<Vec<u8>> {
+/// The planned chunks of a non-empty `region`, with their addresses and
+/// element boxes (allocated extent, slack included), in address order.
+fn plan(meta: &ArrayMeta, region: &Region) -> Result<(Vec<u64>, Vec<Region>)> {
+    let plan = ChunkPlan::for_region(meta, region)?;
+    Ok((plan.addrs().collect(), plan.chunk_regions(meta.chunking())?))
+}
+
+/// Read `[lo, hi)` as row-major element bytes into `out[at..]`, growing
+/// `out` if it is shorter, and return the payload length. Fails with
+/// `FrameTooLarge` when `at` plus the payload exceeds `limit`, before any
+/// planning, locking or allocation.
+fn read_region(
+    array: &ArrayState,
+    session: u64,
+    lo: &[u64],
+    hi: &[u64],
+    limit: usize,
+    at: usize,
+    out: &mut Vec<u8>,
+) -> Result<usize> {
     // Bounds snapshot: extends are serialized against this read lock, and
     // append-only extension keeps every address in the snapshot valid
     // afterwards.
-    let meta = array.meta.read().clone();
+    let meta = Arc::clone(&array.meta.read());
     let region = checked_region(&meta, lo, hi)?;
-    if region.is_empty() {
-        return Ok(Vec::new());
-    }
     let esize = meta.dtype().size();
-    let pairs = plan(&meta, &region)?;
-    let addrs: Vec<u64> = pairs.iter().map(|&(_, a)| a).collect();
+    let len = usize::try_from(region.volume()).ok().and_then(|v| v.checked_mul(esize));
+    let Some(len) = len.filter(|&n| n.checked_add(at).is_some_and(|end| end <= limit)) else {
+        let want = (region.volume() as usize).saturating_mul(esize).saturating_add(at);
+        return Err(ServerError::frame_too_large(want, limit));
+    };
+    if out.len() < at + len {
+        out.resize(at + len, 0);
+    }
+    if len == 0 {
+        return Ok(0);
+    }
+    let (addrs, boxes) = plan(&meta, &region)?;
+    let dst = &mut out[at..at + len];
+    let dst_strides = index::row_major_strides(&region.extents());
+    let chunk_strides = meta.chunking().strides();
 
     let _guard = array.locks.acquire(&addrs, LockMode::Read);
-    let chunks = array.cache.read_chunks(session, &addrs)?;
-
-    let extents = region.extents();
-    let strides = index::row_major_strides(&extents);
-    let chunking = meta.chunking();
-    let mut out = vec![0u8; region.volume() as usize * esize];
-    for ((chunk_idx, _), bytes) in pairs.iter().zip(&chunks) {
-        let chunk_elems = chunking.chunk_elements(chunk_idx)?;
-        let Some(valid) = chunk_elems.intersect(&region) else { continue };
-        index::for_each_offset_pair(
-            &valid,
-            chunk_elems.lo(),
-            chunking.strides(),
+    array.cache.read_frames(session, &addrs, |i, frame| {
+        let Some(valid) = boxes[i].intersect(&region) else { return };
+        copy_rows(
+            frame,
+            boxes[i].lo(),
+            chunk_strides,
+            dst,
             region.lo(),
-            &strides,
-            |src, dst| {
-                let s = src as usize * esize;
-                let d = dst as usize * esize;
-                out[d..d + esize].copy_from_slice(&bytes[s..s + esize]);
-            },
+            &dst_strides,
+            &valid,
+            esize,
         );
-    }
-    Ok(out)
+    })?;
+    Ok(len)
 }
 
 fn write_region(
@@ -378,7 +467,7 @@ fn write_region(
     hi: &[u64],
     data: &[u8],
 ) -> Result<()> {
-    let meta = array.meta.read().clone();
+    let meta = Arc::clone(&array.meta.read());
     let region = checked_region(&meta, lo, hi)?;
     let esize = meta.dtype().size();
     let expected = region.volume() as usize * esize;
@@ -391,62 +480,29 @@ fn write_region(
     if region.is_empty() {
         return Ok(());
     }
-    let pairs = plan(&meta, &region)?;
-    let addrs: Vec<u64> = pairs.iter().map(|&(_, a)| a).collect();
-    let chunking = meta.chunking();
-    let cb = meta.chunk_bytes() as usize;
+    let (addrs, boxes) = plan(&meta, &region)?;
+    // A chunk counts as fully covered only when the region contains its
+    // *entire* allocated extent — including slack beyond the current
+    // element bounds, which must be preserved for future extends. The
+    // others are read-modify-written.
+    let full: Vec<bool> = boxes.iter().map(|b| b.intersect(&region).as_ref() == Some(b)).collect();
+    let src_strides = index::row_major_strides(&region.extents());
+    let chunk_strides = meta.chunking().strides();
 
     let _guard = array.locks.acquire(&addrs, LockMode::Write);
-
-    // Chunks only partially covered by the region need their current
-    // contents first (read-modify-write); fetch them as one coalesced
-    // batch. A chunk counts as fully covered only when the region contains
-    // its *entire* allocated extent — including slack beyond the current
-    // element bounds, which must be preserved for future extends.
-    let mut partial_addrs = Vec::new();
-    let mut full = vec![false; pairs.len()];
-    for (i, (chunk_idx, addr)) in pairs.iter().enumerate() {
-        let chunk_elems = chunking.chunk_elements(chunk_idx)?;
-        let covered =
-            chunk_elems.intersect(&region).is_some_and(|v| v.volume() == chunk_elems.volume());
-        full[i] = covered;
-        if !covered {
-            partial_addrs.push(*addr);
-        }
-    }
-    let partial_bytes = array.cache.read_chunks(session, &partial_addrs)?;
-    let mut partial: HashMap<u64, Vec<u8>> = partial_addrs.into_iter().zip(partial_bytes).collect();
-
-    let extents = region.extents();
-    let strides = index::row_major_strides(&extents);
-    for (i, (chunk_idx, addr)) in pairs.iter().enumerate() {
-        let chunk_elems = chunking.chunk_elements(chunk_idx)?;
-        let Some(valid) = chunk_elems.intersect(&region) else { continue };
-        let mut bytes = if full[i] {
-            vec![0u8; cb]
-        } else {
-            partial.remove(addr).ok_or_else(|| {
-                ServerError::new(
-                    ErrorCode::Internal,
-                    format!("partial chunk {addr} missing from fetch batch"),
-                )
-            })?
-        };
-        index::for_each_offset_pair(
-            &valid,
-            chunk_elems.lo(),
-            chunking.strides(),
+    array.cache.write_frames(session, &addrs, &full, |i, frame| {
+        let Some(valid) = boxes[i].intersect(&region) else { return };
+        copy_rows(
+            data,
             region.lo(),
-            &strides,
-            |dst, src| {
-                let d = dst as usize * esize;
-                let s = src as usize * esize;
-                bytes[d..d + esize].copy_from_slice(&data[s..s + esize]);
-            },
+            &src_strides,
+            frame,
+            boxes[i].lo(),
+            chunk_strides,
+            &valid,
+            esize,
         );
-        array.cache.put_chunk(session, *addr, &bytes)?;
-    }
-    Ok(())
+    })
 }
 
 fn extend(array: &ArrayState, dim: u32, by: u64) -> Result<Vec<u64>> {
@@ -454,12 +510,15 @@ fn extend(array: &ArrayState, dim: u32, by: u64) -> Result<Vec<u64>> {
     // extend, and no region operation's bounds snapshot, can interleave
     // with the axial-vector update. Chunk locks are not needed — existing
     // chunk addresses are immutable under `F*`'s append-only growth.
-    let mut meta = array.meta.write();
+    let mut snapshot = array.meta.write();
     let by = usize::try_from(by)
         .map_err(|_| ServerError::bad_request(format!("extend amount {by} too large")))?;
     // Flush before growing so the payload file is never left with dirty
     // cached chunks beyond a stale length.
     array.cache.flush()?;
+    // Copy-on-write: snapshots taken by in-flight requests keep the old
+    // metadata.
+    let meta = Arc::make_mut(&mut snapshot);
     let outcome = meta.extend(dim as usize, by)?;
     if outcome.new_chunk_count > 0 {
         array.xta.set_len(meta.payload_bytes())?;
@@ -481,7 +540,7 @@ impl std::fmt::Debug for Server {
         // ServerSessions.
         let names = {
             let arrays = self.inner.arrays.lock();
-            arrays.values().map(|a| a.name.clone()).collect::<Vec<_>>()
+            arrays.values().map(|r| r.state.name.clone()).collect::<Vec<_>>()
         };
         f.debug_struct("Server")
             .field("arrays", &names)

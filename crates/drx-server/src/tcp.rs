@@ -6,8 +6,8 @@
 
 use crate::error::{Result, ServerError};
 use crate::proto::{
-    decode_request, encode_response, error_response, read_frame, read_handshake, write_frame,
-    write_handshake, MAX_FRAME,
+    decode_request, encode_response, error_response, read_frame_into, read_handshake, write_frame,
+    write_handshake, Request, MAX_FRAME,
 };
 use crate::server::Server;
 use std::io::{BufReader, BufWriter};
@@ -16,6 +16,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// A connection's reply buffer is dropped after a reply longer than this,
+/// so an idle connection pins at most this much memory for reuse. Larger
+/// than a 256 × 2048 f64 band reply (4 MiB).
+const RETAINED_REPLY_BYTES: usize = 8 << 20;
 
 /// Transport tuning for [`serve_with`].
 #[derive(Debug, Clone)]
@@ -159,10 +164,14 @@ fn connection_loop(
     writer: &mut BufWriter<TcpStream>,
     limit: usize,
 ) -> Result<()> {
+    // Both buffers live as long as the connection; a region read's reply
+    // is built in `reply` and sent from there.
+    let mut request = Vec::new();
+    let mut reply = Vec::new();
     loop {
-        let body = match read_frame(reader, limit) {
-            Ok(Some(body)) => body,
-            Ok(None) => return Ok(()), // clean disconnect
+        match read_frame_into(reader, limit, &mut request) {
+            Ok(true) => {}
+            Ok(false) => return Ok(()), // clean disconnect
             Err(e) => {
                 // Report, then drop the connection: after a framing error
                 // (or a read deadline expiring mid-frame) the stream
@@ -172,11 +181,19 @@ fn connection_loop(
                 return Err(e);
             }
         };
-        let resp = match decode_request(&body) {
-            Ok(req) => server.handle(session, req),
-            Err(e) => error_response(&e),
+        let encoded;
+        let body = match decode_request(&request) {
+            Ok(Request::ReadRegion { handle, lo, hi }) => {
+                server.read_region_reply(session, handle, &lo, &hi, limit, &mut reply)
+            }
+            decoded => {
+                let resp =
+                    decoded.map_or_else(|e| error_response(&e), |r| server.handle(session, r));
+                encoded = encode_response(&resp);
+                &encoded
+            }
         };
-        match write_frame(writer, &encode_response(&resp), limit) {
+        match write_frame(writer, body, limit) {
             Ok(()) => {}
             Err(e) if e.code == crate::error::ErrorCode::FrameTooLarge => {
                 // The *response* outgrew the negotiated limit (e.g. a huge
@@ -185,6 +202,9 @@ fn connection_loop(
                 write_frame(writer, &encode_response(&error_response(&e)), limit)?;
             }
             Err(e) => return Err(e),
+        }
+        if reply.len() > RETAINED_REPLY_BYTES {
+            reply = Vec::new();
         }
     }
 }

@@ -6,8 +6,8 @@
 
 use drx_mp::PoolStats;
 use drx_server::proto::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    ArrayInfo, StatReply,
+    data_header, decode_request, decode_response, encode_request, encode_response, read_frame,
+    write_frame, ArrayInfo, StatReply, DATA_HEADER,
 };
 use drx_server::{Request, Response};
 use proptest::prelude::*;
@@ -116,6 +116,11 @@ proptest! {
     #[test]
     fn response_roundtrip_and_truncation(resp in response()) {
         let body = encode_response(&resp);
+        if let Response::Data { data } = &resp {
+            // The in-place encoding the TCP read path uses: header, payload.
+            prop_assert_eq!(&body[..DATA_HEADER], &data_header(data.len() as u32)[..]);
+            prop_assert_eq!(&body[DATA_HEADER..], &data[..]);
+        }
         prop_assert_eq!(decode_response(&body).unwrap(), resp);
         assert_prefixes_rejected(&body, decode_response)?;
     }

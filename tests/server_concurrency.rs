@@ -234,6 +234,10 @@ fn coalescing_beats_naive_per_chunk_io() {
     let (pfs, _file) = make("a");
     let server = Server::new(pfs.clone(), ServerConfig { cache_chunks: 2 * N_CHUNKS });
     pfs.reset_stats();
+    // A session that holds the array throughout, so its cache (and its
+    // counters) outlive the readers: an array no handle holds is retired.
+    let mut holder = Client::connect(&server);
+    let (held, _) = holder.open("a").unwrap();
     let mut workers = Vec::new();
     for _ in 0..8 {
         let server = server.clone();
@@ -256,9 +260,7 @@ fn coalescing_beats_naive_per_chunk_io() {
         "coalesced I/O ({coalesced} requests) must beat naive per-chunk I/O ({naive})"
     );
     // The eight sessions' 128 chunk reads were served by at most 16 faults.
-    let mut client = Client::connect(&server);
-    let (h, _) = client.open("a").unwrap();
-    let stat = client.stat(h).unwrap();
+    let stat = holder.stat(held).unwrap();
     assert_eq!(stat.global_cache.misses, N_CHUNKS as u64);
     assert!(stat.global_cache.hits >= (8 * N_CHUNKS) as u64);
     assert!(stat.coalesced_batches >= 1);
