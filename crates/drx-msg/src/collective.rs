@@ -130,6 +130,25 @@ impl Comm {
         self.alltoall_bytes(to_each)
     }
 
+    /// [`Comm::alltoallv_bytes`] after a local phase that may have failed:
+    /// a failed rank passes `None` and sends a failure mark instead of
+    /// data. Every rank receives the data, or `Err(rank)` naming the first
+    /// rank that failed — the outcome settles in the same round.
+    pub(crate) fn alltoallv_unless_failed(
+        &self,
+        to_each: Option<Vec<Vec<u8>>>,
+    ) -> Result<std::result::Result<Vec<Vec<u8>>, usize>> {
+        let row = match to_each {
+            Some(parts) => parts.into_iter().map(Payload::Bytes).collect(),
+            None => vec![Payload::Obj(std::sync::Arc::new(())); self.size()],
+        };
+        let col = self.exchange(row)?;
+        match col.iter().position(|p| matches!(p, Payload::Obj(_))) {
+            Some(rank) => Ok(Err(rank)),
+            None => col.into_iter().map(Payload::bytes).collect::<Result<_>>().map(Ok),
+        }
+    }
+
     /// Exclusive prefix sum of a `u64` (rank r receives the sum over ranks
     /// `< r`) — handy for offset assignment.
     pub fn exscan_u64(&self, value: u64) -> Result<u64> {

@@ -59,8 +59,9 @@ struct ExchangeState {
     /// Deposited rows, one per source rank; each row has one payload per
     /// destination.
     matrix: Vec<Option<Vec<Payload>>>,
-    /// The completed matrix, published to all ranks.
-    result: Option<Arc<Vec<Vec<Payload>>>>,
+    /// The completed matrix, published to all ranks; each rank moves its
+    /// own column out, so payloads are handed over without a copy.
+    result: Option<Vec<Vec<Option<Payload>>>>,
     drained: usize,
 }
 
@@ -254,7 +255,8 @@ impl Comm {
 
     /// All-to-all payload exchange: rank `r` contributes `row[d]` for every
     /// destination `d` and receives `result[s]` = what each source `s`
-    /// addressed to `r`. All collectives are built on this.
+    /// addressed to `r`. All collectives are built on this. Payloads move
+    /// to their destination: no byte is copied on the way.
     ///
     /// Every rank of the communicator must call this the same number of
     /// times in the same order (the usual SPMD collective contract).
@@ -278,9 +280,12 @@ impl Comm {
         st.matrix[self.rank] = Some(row);
         st.deposited += 1;
         if st.deposited == size {
-            let rows: Vec<Vec<Payload>> =
-                st.matrix.iter_mut().map(|r| r.take().expect("all rows deposited")).collect();
-            st.result = Some(Arc::new(rows));
+            let rows: Vec<Vec<Option<Payload>>> = st
+                .matrix
+                .iter_mut()
+                .map(|r| r.take().expect("all rows deposited").into_iter().map(Some).collect())
+                .collect();
+            st.result = Some(rows);
             st.deposited = 0;
             st.drained = 0;
             self.inner.exch_cond.notify_all();
@@ -291,7 +296,14 @@ impl Comm {
             }
             self.inner.check_poison()?;
         }
-        let result = Arc::clone(st.result.as_ref().expect("result published"));
+        let rank = self.rank;
+        let column: Option<Vec<Payload>> = st
+            .result
+            .as_mut()
+            .expect("result published")
+            .iter_mut()
+            .map(|row| row[rank].take())
+            .collect();
         st.drained += 1;
         if st.drained == size {
             st.result = None;
@@ -300,7 +312,7 @@ impl Comm {
         }
         drop(st);
         self.coll_seq.store(my_seq + 1, Ordering::Relaxed);
-        Ok(result.iter().map(|row| row[self.rank].clone()).collect())
+        column.ok_or_else(|| MsgError::CollectiveMismatch("exchange column drained twice".into()))
     }
 
     /// Byte-only exchange convenience.

@@ -21,6 +21,9 @@ pub enum MsgError {
     Pfs(drx_pfs::PfsError),
     /// Window access out of bounds.
     WindowRange { rank: usize, offset: u64, len: u64, size: u64 },
+    /// A collective failed on peer `rank` (which reports its own error);
+    /// every other rank fails the call with this.
+    PeerFailed { rank: usize },
     /// Generic invalid argument.
     Invalid(String),
 }
@@ -42,6 +45,7 @@ impl fmt::Display for MsgError {
                     "window access [{offset}, {offset}+{len}) on rank {rank} exceeds size {size}"
                 )
             }
+            MsgError::PeerFailed { rank } => write!(f, "collective failed on rank {rank}"),
             MsgError::Invalid(why) => write!(f, "invalid argument: {why}"),
         }
     }

@@ -3,17 +3,20 @@
 //!
 //! Independent reads/writes translate buffer positions through the rank's
 //! file view (a [`Datatype`] tiled from a displacement) and issue one PFS
-//! request per absolute extent. Collective `read_all`/`write_all` implement
+//! call per absolute extent. Collective `read_all`/`write_all` implement
 //! genuine **two-phase I/O**: the aggregate byte range of all ranks is
-//! partitioned into per-aggregator domains, each aggregator services its
-//! domain with large contiguous PFS requests, and data is redistributed with
-//! an all-to-all — the request-coalescing behaviour experiment E4 measures
-//! against independent I/O.
+//! partitioned into per-aggregator domains, each aggregator services every
+//! requested piece of its domain with one gather/scatter PFS call — the
+//! pieces of all ranks, in file order, so each server sees one request per
+//! contiguous local run — and data is redistributed with one all-to-all.
+//! That is the request-coalescing behaviour experiment E4 measures against
+//! independent I/O. Every rank derives every piece's position from the
+//! allgathered view extents, so the exchanged messages carry data only and
+//! each byte is copied once between the file system and its destination.
 
 use crate::comm::Comm;
 use crate::datatype::Datatype;
 use crate::error::{MsgError, Result};
-use crate::wire::{decode, encode};
 use drx_pfs::{Pfs, PfsFile};
 
 /// A parallel file handle bound to a communicator.
@@ -133,190 +136,207 @@ impl MsgFile {
 
     /// Collective two-phase read (`MPI_File_read_all`). Every rank must
     /// participate; ranks may request disjoint (even empty) view ranges.
+    ///
+    /// Each aggregator reads the requested pieces inside its domain with
+    /// one gather call in file order: its own pieces land directly in
+    /// `buf`, every other rank's pieces in that rank's send buffer. One
+    /// all-to-all then ships the send buffers, and each received byte is
+    /// copied once, into its place in `buf`.
     pub fn read_all(&self, data_offset: u64, buf: &mut [u8]) -> Result<()> {
         let ranges = self.absolute(data_offset, buf.len() as u64);
-        let domains = self.exchange_ranges(&ranges)?;
-        let Some((global_lo, global_hi, per, all_ranges)) = domains else {
+        let Some(tp) = self.exchange_ranges(&ranges)? else {
             return Ok(()); // nobody asked for anything
         };
-        let size = self.comm.size();
         let me = self.comm.rank();
-        // Phase 1: service my aggregator domain with one large read.
-        let my_dom = domain_of(global_lo, global_hi, per, me);
-        let mut dom_buf = Vec::new();
-        if my_dom.1 > my_dom.0 {
-            // Clip to what was actually requested (the domain is within
-            // [global lo, global hi) by construction).
-            dom_buf = self.file.read_vec(my_dom.0, (my_dom.1 - my_dom.0) as usize)?;
-        }
-        // Phase 2: ship each rank the pieces of its request inside my domain.
-        let mut to_each: Vec<Vec<u8>> = vec![Vec::new(); size];
-        for (rank, ranges) in all_ranges.iter().enumerate() {
-            for &(off, len) in ranges {
-                let lo = off.max(my_dom.0);
-                let hi = (off + len).min(my_dom.1);
-                if lo < hi {
-                    let slice = &dom_buf[(lo - my_dom.0) as usize..(hi - my_dom.0) as usize];
-                    to_each[rank].extend_from_slice(&encode(&[lo, hi - lo]));
-                    to_each[rank].extend_from_slice(slice);
-                }
-            }
-        }
-        let received = self.comm.alltoallv_bytes(to_each)?;
-        // Assemble: map absolute offsets back to buffer positions.
-        let placer = RangePlacer::new(&ranges);
-        for msg in received {
-            let mut cursor = 0usize;
-            while cursor < msg.len() {
-                let header: Vec<u64> = decode(&msg[cursor..cursor + 16]);
-                let (abs, len) = (header[0], header[1] as usize);
-                cursor += 16;
-                let bytes = &msg[cursor..cursor + len];
+        let dom = tp.domain(me);
+        // Phase 1: read my domain into `buf` and the send buffers.
+        let mut to_each: Vec<Vec<u8>> = tp
+            .ranges
+            .iter()
+            .enumerate()
+            .map(|(r, rr)| {
+                let n = if r == me { 0 } else { pieces_in(rr, dom).map(|(_, _, l)| l).sum() };
+                vec![0u8; n]
+            })
+            .collect();
+        let mut pieces: Vec<(u64, &mut [u8])> = Vec::new();
+        carve(buf, pieces_in(&ranges, dom), &mut pieces);
+        for (r, out) in to_each.iter_mut().enumerate().filter(|&(r, _)| r != me) {
+            let mut cursor = 0;
+            let packed = pieces_in(&tp.ranges[r], dom).map(|(abs, _, len)| {
                 cursor += len;
-                placer.place(abs, bytes, buf)?;
+                (abs, cursor - len, len)
+            });
+            carve(out, packed, &mut pieces);
+        }
+        pieces.sort_by_key(|&(abs, _)| abs);
+        let io = self.file.read_pieces(pieces);
+        // Phase 2: ship the send buffers — or, after a failed read, a
+        // failure mark, so no peer waits for data that never comes — and
+        // place what every other aggregator read for me.
+        let received = self.comm.alltoallv_unless_failed(io.is_ok().then_some(to_each))?;
+        io?;
+        let received = received.map_err(|rank| MsgError::PeerFailed { rank })?;
+        for (agg, msg) in received.iter().enumerate().filter(|&(agg, _)| agg != me) {
+            let mut cursor = 0;
+            for (_, pos, len) in pieces_in(&ranges, tp.domain(agg)) {
+                let src = msg.get(cursor..cursor + len).ok_or_else(|| short_message(agg))?;
+                buf[pos..pos + len].copy_from_slice(src);
+                cursor += len;
+            }
+            if cursor != msg.len() {
+                return Err(short_message(agg));
             }
         }
         Ok(())
     }
 
     /// Collective two-phase write (`MPI_File_write_all`).
+    ///
+    /// Each rank sends every other aggregator the concatenation of its
+    /// pieces inside that aggregator's domain. The aggregator then writes
+    /// its domain with one gather call in file order, taking its own
+    /// pieces from `data` in place and the others' straight from the
+    /// received messages.
     pub fn write_all(&self, data_offset: u64, data: &[u8]) -> Result<()> {
         let ranges = self.absolute(data_offset, data.len() as u64);
-        let domains = self.exchange_ranges(&ranges)?;
-        let Some((global_lo, global_hi, per, _all_ranges)) = domains else {
+        let Some(tp) = self.exchange_ranges(&ranges)? else {
             return Ok(());
         };
-        let size = self.comm.size();
+        let me = self.comm.rank();
         // Phase 1: route my data pieces to the owning aggregators.
-        let mut to_each: Vec<Vec<u8>> = vec![Vec::new(); size];
-        let mut pos = 0u64;
-        for &(off, len) in &ranges {
-            let mut covered = 0u64;
-            while covered < len {
-                let abs = off + covered;
-                let agg = ((abs - global_lo) / per) as usize;
-                let dom = domain_of(global_lo, global_hi, per, agg);
-                let take = (dom.1 - abs).min(len - covered);
-                to_each[agg].extend_from_slice(&encode(&[abs, take]));
-                to_each[agg].extend_from_slice(
-                    &data[(pos + covered) as usize..(pos + covered + take) as usize],
-                );
-                covered += take;
-            }
-            pos += len;
-        }
+        let to_each: Vec<Vec<u8>> = (0..self.comm.size())
+            .map(|agg| {
+                if agg == me {
+                    return Vec::new();
+                }
+                let dom = tp.domain(agg);
+                let mut out = Vec::with_capacity(pieces_in(&ranges, dom).map(|(_, _, l)| l).sum());
+                for (_, pos, len) in pieces_in(&ranges, dom) {
+                    out.extend_from_slice(&data[pos..pos + len]);
+                }
+                out
+            })
+            .collect();
         let received = self.comm.alltoallv_bytes(to_each)?;
-        // Phase 2: coalesce and write my domain with few large requests.
-        let mut pieces: Vec<(u64, Vec<u8>)> = Vec::new();
-        for msg in received {
-            let mut cursor = 0usize;
-            while cursor < msg.len() {
-                let header: Vec<u64> = decode(&msg[cursor..cursor + 16]);
-                let (abs, len) = (header[0], header[1] as usize);
-                cursor += 16;
-                pieces.push((abs, msg[cursor..cursor + len].to_vec()));
-                cursor += len;
+        // Phase 2: write my domain.
+        let dom = tp.domain(me);
+        let mut pieces: Vec<(u64, &[u8])> = Vec::new();
+        let mut io = Ok(());
+        for (r, msg) in received.iter().enumerate() {
+            if r == me {
+                pieces.extend(
+                    pieces_in(&ranges, dom).map(|(abs, pos, len)| (abs, &data[pos..pos + len])),
+                );
+                continue;
+            }
+            let mut rest = &msg[..];
+            for (abs, _, len) in pieces_in(&tp.ranges[r], dom) {
+                match rest.split_at_checked(len) {
+                    Some((piece, tail)) => {
+                        pieces.push((abs, piece));
+                        rest = tail;
+                    }
+                    None => io = Err(short_message(r)),
+                }
+            }
+            if !rest.is_empty() {
+                io = Err(short_message(r));
             }
         }
+        // Where ranks' pieces overlap, which lands last is unspecified (as
+        // in MPI).
         pieces.sort_by_key(|&(abs, _)| abs);
-        let mut run_start: Option<u64> = None;
-        let mut run: Vec<u8> = Vec::new();
-        for (abs, bytes) in pieces {
-            match run_start {
-                Some(start) if start + run.len() as u64 == abs => run.extend_from_slice(&bytes),
-                Some(start) => {
-                    self.file.write_at(start, &run)?;
-                    run_start = Some(abs);
-                    run = bytes;
-                    let _ = start;
-                }
-                None => {
-                    run_start = Some(abs);
-                    run = bytes;
-                }
-            }
+        let io = io.and_then(|()| self.file.write_pieces(pieces).map_err(MsgError::from));
+        // Settle the outcome on every rank, so a failure here fails the
+        // call everywhere; also the barrier that makes the writes visible.
+        let failed = self.comm.allgather_vec::<u64>(&[u64::from(io.is_err())])?;
+        io?;
+        match failed.iter().position(|f| f.first() != Some(&0)) {
+            Some(rank) => Err(MsgError::PeerFailed { rank }),
+            None => Ok(()),
         }
-        if let Some(start) = run_start {
-            self.file.write_at(start, &run)?;
-        }
-        // Writes must be visible before any rank proceeds.
-        self.comm.barrier()
     }
 
-    /// Allgather everyone's absolute ranges; returns `(global_lo, global_hi,
-    /// bytes_per_domain, ranges_by_rank)`, or `None` when all ranks
-    /// requested nothing.
-    #[allow(clippy::type_complexity)]
-    fn exchange_ranges(
-        &self,
-        mine: &[(u64, u64)],
-    ) -> Result<Option<(u64, u64, u64, Vec<Vec<(u64, u64)>>)>> {
+    /// Allgather everyone's absolute ranges and derive the aggregator
+    /// domains; `None` when all ranks requested nothing.
+    fn exchange_ranges(&self, mine: &[(u64, u64)]) -> Result<Option<TwoPhase>> {
         let flat: Vec<u64> = mine.iter().flat_map(|&(o, l)| [o, l]).collect();
         let all = self.comm.allgather_vec::<u64>(&flat)?;
-        let all_ranges: Vec<Vec<(u64, u64)>> =
+        let ranges: Vec<Vec<(u64, u64)>> =
             all.into_iter().map(|v| v.chunks_exact(2).map(|c| (c[0], c[1])).collect()).collect();
         let mut lo = u64::MAX;
         let mut hi = 0u64;
-        for ranges in &all_ranges {
-            for &(o, l) in ranges {
-                if l > 0 {
-                    lo = lo.min(o);
-                    hi = hi.max(o + l);
-                }
+        for &(o, l) in ranges.iter().flatten() {
+            if l > 0 {
+                lo = lo.min(o);
+                hi = hi.max(o.saturating_add(l));
             }
         }
         if lo >= hi {
             return Ok(None);
         }
         let per = (hi - lo).div_ceil(self.comm.size() as u64).max(1);
-        Ok(Some((lo, hi, per, all_ranges)))
+        Ok(Some(TwoPhase { lo, hi, per, ranges }))
     }
 }
 
-/// Aggregator domain `agg`: `[lo + agg·per, lo + (agg+1)·per)`, clipped to
-/// the global high end (trailing aggregators can own empty domains).
-fn domain_of(global_lo: u64, global_hi: u64, per: u64, agg: usize) -> (u64, u64) {
-    let start = (global_lo + per * agg as u64).min(global_hi);
-    (start, (start + per).min(global_hi))
+/// Everyone's view extents and the aggregator domains they imply. Every
+/// rank derives the same pieces from it, so messages carry data only.
+struct TwoPhase {
+    lo: u64,
+    hi: u64,
+    per: u64,
+    /// Absolute view extents by rank, in each rank's buffer order.
+    ranges: Vec<Vec<(u64, u64)>>,
 }
 
-/// Maps absolute file offsets back to positions in a request buffer whose
-/// layout is the concatenation of the rank's view extents.
-struct RangePlacer<'a> {
-    ranges: &'a [(u64, u64)],
-    /// Buffer position where each range starts.
-    prefix: Vec<u64>,
+impl TwoPhase {
+    /// Aggregator domain `agg`: `[lo + agg·per, lo + (agg+1)·per)`, clipped
+    /// to the global high end (trailing aggregators can own empty domains).
+    fn domain(&self, agg: usize) -> (u64, u64) {
+        let start = self.lo.saturating_add(self.per.saturating_mul(agg as u64)).min(self.hi);
+        (start, start.saturating_add(self.per).min(self.hi))
+    }
 }
 
-impl<'a> RangePlacer<'a> {
-    fn new(ranges: &'a [(u64, u64)]) -> Self {
-        let mut prefix = Vec::with_capacity(ranges.len());
-        let mut acc = 0u64;
-        for &(_, l) in ranges {
-            prefix.push(acc);
-            acc += l;
-        }
-        RangePlacer { ranges, prefix }
-    }
+/// The parts of `ranges` (one rank's view extents, in buffer order) that
+/// fall inside `dom`, as `(file offset, position in that rank's buffer,
+/// len)`. Positions increase along the iteration.
+fn pieces_in(
+    ranges: &[(u64, u64)],
+    dom: (u64, u64),
+) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
+    let mut pos = 0u64;
+    ranges.iter().filter_map(move |&(off, len)| {
+        let start = pos;
+        pos += len;
+        let lo = off.max(dom.0);
+        let hi = off.saturating_add(len).min(dom.1);
+        (lo < hi).then(|| (lo, (start + (lo - off)) as usize, (hi - lo) as usize))
+    })
+}
 
-    fn place(&self, abs: u64, bytes: &[u8], buf: &mut [u8]) -> Result<()> {
-        // The piece lies within exactly one of our ranges (pieces are
-        // produced by intersecting one range with one domain).
-        let idx = self.ranges.partition_point(|&(o, _)| o <= abs);
-        if idx == 0 {
-            return Err(MsgError::Invalid(format!("stray piece at {abs}")));
-        }
-        let (off, len) = self.ranges[idx - 1];
-        if abs + bytes.len() as u64 > off + len {
-            return Err(MsgError::Invalid(format!(
-                "piece [{abs}, +{}) overruns range [{off}, +{len})",
-                bytes.len()
-            )));
-        }
-        let start = (self.prefix[idx - 1] + (abs - off)) as usize;
-        buf[start..start + bytes.len()].copy_from_slice(bytes);
-        Ok(())
+/// Cut `buf` into the `(file offset, position, len)` slots of `slots`
+/// (positions increasing, slots disjoint) and append them to `out`.
+fn carve<'b>(
+    buf: &'b mut [u8],
+    slots: impl Iterator<Item = (u64, usize, usize)>,
+    out: &mut Vec<(u64, &'b mut [u8])>,
+) {
+    let mut rest = buf;
+    let mut base = 0usize;
+    for (abs, pos, len) in slots {
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(pos - base);
+        let (piece, tail) = tail.split_at_mut(len);
+        out.push((abs, piece));
+        rest = tail;
+        base = pos + len;
     }
+}
+
+fn short_message(rank: usize) -> MsgError {
+    MsgError::CollectiveMismatch(format!("two-phase message from rank {rank} has the wrong length"))
 }
 
 #[cfg(test)]

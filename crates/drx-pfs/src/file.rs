@@ -2,7 +2,7 @@
 //! I/O servers.
 
 use crate::error::{PfsError, Result};
-use crate::par::{self, Job, Op};
+use crate::par::{self, JobList, Piece};
 use crate::retry::RetryPolicy;
 use crate::server::{Backing, FaultPlan, IoServer};
 use crate::stats::{CostModel, PfsStats};
@@ -249,8 +249,7 @@ impl PfsFile {
     /// Read exactly `buf.len()` bytes at `offset`; the whole range must lie
     /// within the logical length.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let len = buf.len() as u64;
-        self.read_extents_into(&[(offset, len)], buf)
+        self.read_pieces([(offset, buf)])
     }
 
     /// Convenience: allocate and read `len` bytes at `offset`.
@@ -261,51 +260,22 @@ impl PfsFile {
     }
 
     /// Vectored read: fill `buf` with the concatenation of the byte ranges
-    /// in `extents` (each `(offset, len)`). Fragments are issued through
-    /// the I/O worker pool, overlapping requests to distinct servers when
-    /// the file system was configured with `io_workers > 1`.
+    /// in `extents` (each `(offset, len)`). A thin wrapper over
+    /// [`PfsFile::read_pieces`].
     pub fn read_extents_into(&self, extents: &[(u64, u64)], buf: &mut [u8]) -> Result<()> {
-        let flen = self.len();
-        let total: u64 = extents.iter().map(|&(_, l)| l).sum();
-        if total != buf.len() as u64 {
-            return Err(PfsError::Config(format!(
-                "extent total {total} != buffer length {}",
-                buf.len()
-            )));
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::new();
+        check_total(extents, buf.len(), "buffer")?;
         let mut rest = buf;
-        for &(offset, len) in extents {
-            if offset + len > flen {
-                return Err(PfsError::OutOfRange { offset, len, file_len: flen });
-            }
-            let (ext_buf, tail) = rest.split_at_mut(len as usize);
+        self.read_pieces(extents.iter().map(|&(offset, len)| {
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len as usize);
             rest = tail;
-            // Fragments tile [offset, offset+len) in increasing global
-            // offset, so successive splits consume the extent's buffer.
-            let mut ext_rest = ext_buf;
-            for frag in self.inner.map.split(offset, len) {
-                let (frag_buf, tail) = ext_rest.split_at_mut(frag.len as usize);
-                ext_rest = tail;
-                jobs.push(Job {
-                    server: frag.server,
-                    local_offset: frag.local_offset,
-                    op: Op::Read(frag_buf),
-                });
-            }
-        }
-        par::run_jobs(
-            &self.inner.servers,
-            &self.inner.retry,
-            &self.name,
-            jobs,
-            self.inner.io_workers,
-        )
+            (offset, piece)
+        }))
     }
 
     /// Vectored read returning a freshly allocated buffer.
     pub fn read_extents(&self, extents: &[(u64, u64)]) -> Result<Vec<u8>> {
-        let total: u64 = extents.iter().map(|&(_, l)| l).sum();
+        let total = extent_total(extents)
+            .ok_or_else(|| PfsError::Config("extent total overflows u64".into()))?;
         let mut buf = vec![0u8; total as usize];
         self.read_extents_into(extents, &mut buf)?;
         Ok(buf)
@@ -314,48 +284,94 @@ impl PfsFile {
     /// Write `data` at `offset`, extending the logical length if the range
     /// ends beyond it.
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.write_extents(&[(offset, data.len() as u64)], data)
+        self.write_pieces([(offset, data)])
     }
 
     /// Vectored write: `data` is the concatenation of the byte ranges in
-    /// `extents`. The logical length grows to cover the furthest extent.
-    /// Fragments go through the I/O worker pool like
-    /// [`PfsFile::read_extents_into`].
+    /// `extents`. A thin wrapper over [`PfsFile::write_pieces`].
     pub fn write_extents(&self, extents: &[(u64, u64)], data: &[u8]) -> Result<()> {
-        let total: u64 = extents.iter().map(|&(_, l)| l).sum();
-        if total != data.len() as u64 {
-            return Err(PfsError::Config(format!(
-                "extent total {total} != data length {}",
-                data.len()
-            )));
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::new();
+        check_total(extents, data.len(), "data")?;
         let mut rest = data;
-        for &(offset, len) in extents {
-            let (ext_data, tail) = rest.split_at(len as usize);
+        self.write_pieces(extents.iter().map(|&(offset, len)| {
+            let (piece, tail) = rest.split_at(len as usize);
             rest = tail;
-            for frag in self.inner.map.split(offset, len) {
-                let start = (frag.global_offset - offset) as usize;
-                jobs.push(Job {
-                    server: frag.server,
-                    local_offset: frag.local_offset,
-                    op: Op::Write(&ext_data[start..start + frag.len as usize]),
-                });
-            }
-        }
-        par::run_jobs(
-            &self.inner.servers,
-            &self.inner.retry,
-            &self.name,
-            jobs,
-            self.inner.io_workers,
-        )?;
-        let end = extents.iter().map(|&(o, l)| o + l).max().unwrap_or(0);
+            (offset, piece)
+        }))
+    }
+
+    /// Scatter read: fill every `(offset, buf)` piece with the file bytes
+    /// `[offset, offset + buf.len())`, which must lie within the logical
+    /// length. Pieces may come in any order and from any buffers; each is
+    /// split at stripe boundaries, and fragments that continue a server's
+    /// local run join that server's request, so one server request covers
+    /// one contiguous local run (see [`StripeMap::request_count`]).
+    /// Requests go through the I/O worker pool, overlapping distinct
+    /// servers when the file system has `io_workers > 1`.
+    pub fn read_pieces<'b>(
+        &self,
+        pieces: impl IntoIterator<Item = (u64, &'b mut [u8])>,
+    ) -> Result<()> {
+        self.issue(pieces, Some(self.len())).map(drop)
+    }
+
+    /// Gather write: store every `(offset, data)` piece at `offset` (the
+    /// counterpart of [`PfsFile::read_pieces`]). The logical length grows
+    /// to cover the furthest piece.
+    pub fn write_pieces<'b>(
+        &self,
+        pieces: impl IntoIterator<Item = (u64, &'b [u8])>,
+    ) -> Result<()> {
+        let end = self.issue(pieces, None)?;
         let mut meta = self.inner.meta.lock();
         let entry =
             meta.get_mut(&self.name).ok_or_else(|| PfsError::NoSuchFile(self.name.clone()))?;
         *entry = (*entry).max(end);
         Ok(())
+    }
+
+    /// Validate, group into list requests and issue `pieces`; returns the
+    /// furthest piece end. `limit` bounds reads at the logical length. A
+    /// call that maps to a single fragment skips the grouping.
+    fn issue<B: Piece>(
+        &self,
+        pieces: impl IntoIterator<Item = (u64, B)>,
+        limit: Option<u64>,
+    ) -> Result<u64> {
+        let checked_end = |offset: u64, len: u64| match offset.checked_add(len) {
+            Some(end) if limit.is_none_or(|l| end <= l) => Ok(end),
+            _ => Err(PfsError::OutOfRange {
+                offset,
+                len,
+                file_len: limit.unwrap_or_else(|| self.len()),
+            }),
+        };
+        let (map, servers, retry) = (&self.inner.map, &self.inner.servers, &self.inner.retry);
+        let mut pieces = pieces.into_iter();
+        let Some((offset, mut buf)) = pieces.next() else { return Ok(0) };
+        let mut end = checked_end(offset, buf.len() as u64)?;
+        let second = pieces.next();
+        if second.is_none() {
+            let mut frags = map.fragments(offset, buf.len() as u64);
+            if let (Some(frag), None) = (frags.next(), frags.next()) {
+                let server = &servers[frag.server];
+                let one = std::slice::from_mut(&mut buf);
+                retry.run(|| B::issue(server, &self.name, frag.local_offset, one))?;
+                return Ok(end);
+            }
+        }
+        let mut jobs = JobList::new(servers.len());
+        for (offset, buf) in std::iter::once((offset, buf)).chain(second).chain(pieces) {
+            let len = buf.len() as u64;
+            end = end.max(checked_end(offset, len)?);
+            let mut rest = buf;
+            for frag in map.fragments(offset, len) {
+                let (head, tail) = rest.split(frag.len as usize);
+                rest = tail;
+                jobs.push(&frag, head);
+            }
+        }
+        par::run_jobs(servers, retry, &self.name, jobs.into_jobs(), self.inner.io_workers)?;
+        Ok(end)
     }
 
     /// Set the logical length, zero-extending or truncating.
@@ -377,7 +393,8 @@ impl PfsFile {
         Ok(())
     }
 
-    /// Number of server requests a read/write of this byte range generates.
+    /// Number of server requests a read/write of this byte range generates
+    /// (one per server local run; see [`StripeMap::request_count`]).
     pub fn request_count(&self, offset: u64, len: u64) -> usize {
         self.inner.map.request_count(offset, len)
     }
@@ -391,6 +408,23 @@ impl PfsFile {
         }
         Ok(())
     }
+}
+
+/// Sum of the extent lengths, `None` on overflow.
+fn extent_total(extents: &[(u64, u64)]) -> Option<u64> {
+    extents.iter().try_fold(0u64, |acc, &(_, l)| acc.checked_add(l))
+}
+
+/// Check that `extents` add up to a `len`-byte buffer.
+fn check_total(extents: &[(u64, u64)], len: usize, what: &str) -> Result<()> {
+    let total = extent_total(extents);
+    if total != Some(len as u64) {
+        return Err(PfsError::Config(format!(
+            "extent total {} != {what} length {len}",
+            total.map_or_else(|| "overflows u64".to_string(), |t| t.to_string())
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -561,6 +595,57 @@ mod tests {
         let f = fs.recover("f").unwrap();
         assert_eq!(f.len(), 100, "only synced bytes survive the crash");
         assert_eq!(f.read_vec(0, 100).unwrap(), vec![5u8; 100]);
+    }
+
+    #[test]
+    fn ranges_past_u64_max_are_out_of_range() {
+        let fs = fs();
+        let f = fs.create("f").unwrap();
+        f.write_at(0, &[1u8; 256]).unwrap();
+        let at = u64::MAX - 7;
+        let mut buf = [9u8; 16];
+        assert!(matches!(
+            f.read_at(at, &mut buf),
+            Err(PfsError::OutOfRange { offset, len: 16, file_len: 256 }) if offset == at
+        ));
+        assert_eq!(buf, [9u8; 16], "a rejected read leaves the buffer alone");
+        assert!(matches!(
+            f.write_at(at, &[2u8; 16]),
+            Err(PfsError::OutOfRange { offset, len: 16, file_len: 256 }) if offset == at
+        ));
+        assert!(matches!(
+            f.read_extents_into(&[(0, 8), (at, 16)], &mut [0u8; 24]),
+            Err(PfsError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            f.write_extents(&[(0, 8), (at, 16)], &[3u8; 24]),
+            Err(PfsError::OutOfRange { .. })
+        ));
+        // Extent lengths whose sum overflows are a size mismatch.
+        assert!(matches!(
+            f.read_extents_into(&[(0, u64::MAX), (0, 2)], &mut [0u8; 1]),
+            Err(PfsError::Config(_))
+        ));
+        assert!(matches!(f.read_extents(&[(0, u64::MAX), (0, 2)]), Err(PfsError::Config(_))));
+        // Nothing was written and the length did not move.
+        assert_eq!(f.len(), 256);
+        assert_eq!(f.read_vec(0, 256).unwrap(), vec![1u8; 256]);
+    }
+
+    #[test]
+    fn single_fragment_calls_match_grouped_calls() {
+        // The one-fragment fast path and the grouped path agree on bytes
+        // and on request accounting.
+        let fs = fs(); // stripe 16, 4 servers
+        let f = fs.create("f").unwrap();
+        let pattern: Vec<u8> = (0..128u8).collect();
+        f.write_at(0, &pattern).unwrap();
+        fs.reset_stats();
+        assert_eq!(f.read_vec(20, 10).unwrap(), &pattern[20..30]); // one fragment
+        assert_eq!(f.read_vec(20, 40).unwrap(), &pattern[20..60]); // grouped
+        let st = fs.stats();
+        assert_eq!(st.total_requests() as usize, 1 + f.request_count(20, 40));
+        assert_eq!(st.total_bytes(), 50);
     }
 
     #[test]

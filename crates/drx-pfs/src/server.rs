@@ -182,29 +182,67 @@ impl IoServer {
 
     /// Service one read request against a file's local stream.
     pub fn read(&self, name: &str, local_offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_fault("read")?;
-        self.with_entry(name, |entry| {
-            if let Some(lat) = self.latency {
-                std::thread::sleep(lat);
-            }
-            let seek = entry.last_end != Some(local_offset);
-            entry.last_end = Some(local_offset + buf.len() as u64);
-            self.stats.lock().record(&self.cost, false, buf.len() as u64, seek);
-            entry.storage.read_at(local_offset, buf)
-        })
+        self.read_list(name, local_offset, &mut [buf])
     }
 
     /// Service one write request against a file's local stream.
     pub fn write(&self, name: &str, local_offset: u64, data: &[u8]) -> Result<()> {
-        self.check_fault("write")?;
+        self.write_list(name, local_offset, &[data])
+    }
+
+    /// Service one list read: the local run starting at `local_offset` is
+    /// scattered into `bufs` in order. The request is charged, counted and
+    /// seek-checked once and takes the [`FaultPlan`] decision once; the
+    /// storage stream still sees one read per buffer.
+    pub fn read_list(&self, name: &str, local_offset: u64, bufs: &mut [&mut [u8]]) -> Result<()> {
+        let run = (local_offset, bufs.iter().map(|b| b.len() as u64).sum());
+        let mut pos = local_offset;
+        for (i, buf) in bufs.iter_mut().enumerate() {
+            self.serve_piece(name, run, i == 0, false, |s| s.read_at(pos, buf))?;
+            pos += buf.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Service one list write: `bufs`, in order, fill the local run
+    /// starting at `local_offset` (the gather counterpart of
+    /// [`IoServer::read_list`]).
+    pub fn write_list(&self, name: &str, local_offset: u64, bufs: &[&[u8]]) -> Result<()> {
+        let run = (local_offset, bufs.iter().map(|b| b.len() as u64).sum());
+        let mut pos = local_offset;
+        for (i, data) in bufs.iter().enumerate() {
+            self.serve_piece(name, run, i == 0, true, |s| s.write_at(pos, data))?;
+            pos += data.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// One storage operation `io` of the list request over the local run
+    /// `run = (offset, len)`. The request's `first` piece also opens it:
+    /// the [`FaultPlan`] decision, the emulated latency and the accounting.
+    /// The file table is locked per piece, so other requests to this
+    /// server can run between the pieces of a long list.
+    pub(crate) fn serve_piece(
+        &self,
+        name: &str,
+        run: (u64, u64),
+        first: bool,
+        is_write: bool,
+        io: impl FnOnce(&dyn Storage) -> Result<()>,
+    ) -> Result<()> {
+        if first {
+            self.check_fault(if is_write { "write" } else { "read" })?;
+        }
         self.with_entry(name, |entry| {
-            if let Some(lat) = self.latency {
-                std::thread::sleep(lat);
+            if first {
+                if let Some(lat) = self.latency {
+                    std::thread::sleep(lat);
+                }
+                let seek = entry.last_end != Some(run.0);
+                entry.last_end = Some(run.0 + run.1);
+                self.stats.lock().record(&self.cost, is_write, run.1, seek);
             }
-            let seek = entry.last_end != Some(local_offset);
-            entry.last_end = Some(local_offset + data.len() as u64);
-            self.stats.lock().record(&self.cost, true, data.len() as u64, seek);
-            entry.storage.write_at(local_offset, data)
+            io(entry.storage.as_ref())
         })
     }
 
@@ -264,6 +302,26 @@ mod tests {
         assert_eq!(st.write_requests, 3);
         assert_eq!(st.seeks, 2);
         assert_eq!(st.bytes_written, 22);
+    }
+
+    #[test]
+    fn a_list_request_is_one_request() {
+        let s = server();
+        s.ensure_file("f").unwrap();
+        s.write_list("f", 0, &[b"ab", b"cde", b"f"]).unwrap();
+        let (mut a, mut b) = ([0u8; 4], [0u8; 2]);
+        s.read_list("f", 0, &mut [&mut a, &mut b]).unwrap();
+        assert_eq!((&a, &b), (b"abcd", b"ef"));
+        let st = s.stats();
+        assert_eq!((st.write_requests, st.read_requests), (1, 1));
+        assert_eq!((st.bytes_written, st.bytes_read), (6, 6));
+        // One seek check per request: the write seeks, the read (back at
+        // offset 0) seeks again; no piece counts on its own.
+        assert_eq!(st.seeks, 2);
+        // A fault plan counts and fails whole requests.
+        s.inject_fault(FaultPlan { after_requests: 0 });
+        assert!(s.read_list("f", 0, &mut [&mut a, &mut b]).is_err());
+        s.read_list("f", 0, &mut [&mut a, &mut b]).unwrap();
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! A logical byte offset is decomposed into a stripe index; stripes are dealt
 //! round-robin to the servers. A logical request that spans stripe
-//! boundaries splits into per-server fragments — the fragmentation measured
-//! by experiment E5 (chunk size vs stripe size reconciliation, the paper's
-//! §V future-work item).
+//! boundaries splits into per-server fragments; fragments that continue one
+//! server's local stream share a single server request, so a request count
+//! is the number of local runs touched — the fragmentation measured by
+//! experiment E5 (chunk size vs stripe size reconciliation, the paper's §V
+//! future-work item).
 
 use crate::error::{PfsError, Result};
 
@@ -59,37 +61,51 @@ impl StripeMap {
     }
 
     /// Split the logical byte range `[offset, offset+len)` into per-server
-    /// fragments, in increasing `global_offset` order. Adjacent stripes on
-    /// the *same* server (possible when `n_servers == 1`) are coalesced.
+    /// fragments, in increasing `global_offset` order: one per stripe the
+    /// range touches, each contiguous both in the logical file and in its
+    /// server's local stream. Stripes that are adjacent in both (only
+    /// possible when `n_servers == 1`) come back as one fragment. A range
+    /// reaching past `u64::MAX` is cut off there; [`crate::PfsFile`]
+    /// rejects such ranges before splitting.
     pub fn split(&self, offset: u64, len: u64) -> Vec<Fragment> {
-        let mut frags: Vec<Fragment> = Vec::new();
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let (server, local_offset) = self.locate(pos);
-            let stripe_end = (pos / self.stripe_size + 1) * self.stripe_size;
-            let frag_len = stripe_end.min(end) - pos;
-            match frags.last_mut() {
-                Some(last)
-                    if last.server == server
-                        && last.local_offset + last.len == local_offset
-                        && last.global_offset + last.len == pos =>
-                {
-                    last.len += frag_len;
-                }
-                _ => {
-                    frags.push(Fragment { server, local_offset, global_offset: pos, len: frag_len })
-                }
-            }
-            pos += frag_len;
-        }
-        frags
+        self.fragments(offset, len).collect()
     }
 
-    /// Number of server requests the range will generate (fragments after
-    /// coalescing) — the E5 metric.
+    /// [`StripeMap::split`] as a lazy iterator, so callers that only walk
+    /// the fragments allocate nothing.
+    pub fn fragments(&self, offset: u64, len: u64) -> impl Iterator<Item = Fragment> + '_ {
+        let end = offset.saturating_add(len);
+        let mut pos = offset;
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
+            }
+            let (server, local_offset) = self.locate(pos);
+            let frag_end = if self.n_servers == 1 {
+                end
+            } else {
+                (pos / self.stripe_size + 1).saturating_mul(self.stripe_size).min(end)
+            };
+            let frag = Fragment { server, local_offset, global_offset: pos, len: frag_end - pos };
+            pos = frag_end;
+            Some(frag)
+        })
+    }
+
+    /// Number of server requests a read or write of the range generates —
+    /// the E5 metric. A server request covers one contiguous run of the
+    /// server's local stream, and fragments that continue a server's run
+    /// join it. Within one contiguous logical range every server's stripes
+    /// are consecutive in its local stream, so each server the range
+    /// touches serves exactly one run: the count is the number of stripes
+    /// touched, capped at the number of servers.
     pub fn request_count(&self, offset: u64, len: u64) -> usize {
-        self.split(offset, len).len()
+        if len == 0 {
+            return 0;
+        }
+        let last = offset.saturating_add(len - 1);
+        let stripes = last / self.stripe_size - offset / self.stripe_size + 1;
+        stripes.min(self.n_servers as u64) as usize
     }
 
     /// Inverse of [`StripeMap::locate`]: the logical offset of local byte
@@ -215,6 +231,40 @@ mod tests {
                 .unwrap_or(0);
             assert_eq!(recovered, flen, "flen {flen}");
         }
+    }
+
+    #[test]
+    fn request_count_is_one_per_local_run() {
+        let m = StripeMap::new(4, 100).unwrap();
+        // Three full stripe rounds: each server serves one local run.
+        assert_eq!(m.request_count(0, 1200), 4);
+        // Two stripes, one server each.
+        assert_eq!(m.request_count(50, 100), 2);
+        assert_eq!(m.request_count(0, 0), 0);
+        // A brute-force count of per-server local runs agrees.
+        for (offset, len) in [(0u64, 1u64), (99, 2), (37, 777), (350, 1000), (400, 400)] {
+            let mut runs = 0;
+            let mut last_end = [None::<u64>; 4];
+            for f in m.split(offset, len) {
+                if last_end[f.server] != Some(f.local_offset) {
+                    runs += 1;
+                }
+                last_end[f.server] = Some(f.local_offset + f.len);
+            }
+            assert_eq!(m.request_count(offset, len), runs, "[{offset}, +{len})");
+        }
+    }
+
+    #[test]
+    fn ranges_near_u64_max_do_not_overflow() {
+        let m = StripeMap::new(3, 64).unwrap();
+        let at = u64::MAX - 7;
+        // Cut off at u64::MAX instead of wrapping around to offset 0.
+        let frags = m.split(at, 16);
+        assert_eq!(frags.iter().map(|f| f.len).sum::<u64>(), 7);
+        assert!(frags.iter().all(|f| f.global_offset >= at));
+        assert_eq!(m.request_count(at, 16), 1);
+        assert_eq!(StripeMap::new(1, 64).unwrap().split(at, 16).len(), 1);
     }
 
     #[test]

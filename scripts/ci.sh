@@ -17,9 +17,9 @@
 #   8. bench smoke: a tiny harness run that must emit valid JSON and prove
 #      the memcpy fast path is actually taken (kernel counters)
 #   9. end-to-end benchmark checks: perfbench's --selftest (every workload
-#      must detect a planted corrupt chunk) and 5-second untraced `bulk`
-#      and `serve` runs whose result lines must report correct reads and
-#      no failures
+#      must detect a planted corrupt chunk) and 5-second untraced `bulk`,
+#      `serve` and `zones` runs whose result lines must report correct
+#      reads and no failures
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,11 +68,11 @@ assert len(d["parallel_io"]["cold_read"]) >= 2, "worker sweep too small"
 print("bench smoke OK:", sys.argv[1])
 EOF
 
-echo "==> end-to-end benchmark checks (perfbench selftest + short bulk and serve runs)"
+echo "==> end-to-end benchmark checks (perfbench selftest + short bulk, serve and zones runs)"
 # The invocation BENCHMARK.json declares.
 perfbench=(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --)
 "${perfbench[@]}" --selftest
-for workload in bulk serve; do
+for workload in bulk serve zones; do
     line=$("${perfbench[@]}" --workload "$workload" --seed 1 --seconds 5 --trace 0 | tail -n 1)
     python3 - "$workload" "$line" <<'EOF'
 import json, sys
