@@ -61,7 +61,6 @@ pub const L1_CALL_METHODS: &[&str] = &[
     "write",
     "open",
     "with_entry",
-    "check_fault",
     "ensure_file",
     "remove_file",
 ];

@@ -104,7 +104,7 @@ impl<T: Element> ExtendibleArray<T> {
     /// memory layout — the in-core model of the paper's "specify the
     /// sub-arrays in memory to be in conventional array order".
     pub fn read_region(&self, region: &Region, layout: Layout) -> Result<Vec<T>> {
-        self.check_region(region)?;
+        self.meta.check_region(region)?;
         let extents = region.extents();
         let mut out = vec![T::default(); region.volume() as usize];
         let strides = layout.strides(&extents);
@@ -120,7 +120,7 @@ impl<T: Element> ExtendibleArray<T> {
     /// Write a dense buffer (in the given layout) into a rectilinear element
     /// region.
     pub fn write_region(&mut self, region: &Region, layout: Layout, data: &[T]) -> Result<()> {
-        self.check_region(region)?;
+        self.meta.check_region(region)?;
         let n = region.volume() as usize;
         if data.len() != n {
             return Err(DrxError::BufferSize { expected: n, got: data.len() });
@@ -157,21 +157,6 @@ impl<T: Element> ExtendibleArray<T> {
             .get_mut(addr as usize)
             .map(|b| &mut b[..])
             .ok_or(DrxError::AddressOutOfBounds { address: addr, total })
-    }
-
-    fn check_region(&self, region: &Region) -> Result<()> {
-        if region.rank() != self.rank() {
-            return Err(DrxError::RankMismatch { expected: self.rank(), got: region.rank() });
-        }
-        for (&h, &n) in region.hi().iter().zip(self.bounds()) {
-            if h > n {
-                return Err(DrxError::IndexOutOfBounds {
-                    index: region.hi().to_vec(),
-                    bounds: self.bounds().to_vec(),
-                });
-            }
-        }
-        Ok(())
     }
 }
 

@@ -192,6 +192,22 @@ impl ArrayMeta {
         Ok(outcome)
     }
 
+    /// Check that `region` has the array's rank and lies within the element
+    /// bounds — the one region validator every surface calls before it
+    /// plans or copies.
+    pub fn check_region(&self, region: &Region) -> Result<()> {
+        if region.rank() != self.rank() {
+            return Err(DrxError::RankMismatch { expected: self.rank(), got: region.rank() });
+        }
+        if region.hi().iter().zip(&self.element_bounds).any(|(&h, &n)| h > n) {
+            return Err(DrxError::IndexOutOfBounds {
+                index: region.hi().to_vec(),
+                bounds: self.element_bounds.clone(),
+            });
+        }
+        Ok(())
+    }
+
     /// Locate an element: (linear chunk address, element offset inside the
     /// chunk). This composes `F*` on the chunk index with the trivial
     /// row-major offset within the chunk (§II-A).

@@ -205,25 +205,6 @@ impl<T: Element> DrxmpHandle<T> {
     pub fn my_zone(&self) -> Option<Region> {
         self.zone_element_region(self.comm.rank())
     }
-
-    /// Validate that a region lies within the current element bounds.
-    pub(crate) fn check_region(&self, region: &Region) -> Result<()> {
-        if region.rank() != self.meta.rank() {
-            return Err(MpError::Core(drx_core::DrxError::RankMismatch {
-                expected: self.meta.rank(),
-                got: region.rank(),
-            }));
-        }
-        for (&h, &n) in region.hi().iter().zip(self.bounds()) {
-            if h > n {
-                return Err(MpError::Core(drx_core::DrxError::IndexOutOfBounds {
-                    index: region.hi().to_vec(),
-                    bounds: self.bounds().to_vec(),
-                }));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! element accesses with locality stop paying one PFS round trip each.
 
 use crate::error::{MpError, Result};
+use crate::read::ChunkPlan;
 use crate::serial::DrxFile;
 use drx_core::{Element, Layout, Region};
 use drx_pfs::PfsFile;
@@ -412,32 +413,28 @@ impl<T: Element> CachedDrxFile<T> {
         self.inner.extend(dim, by)
     }
 
-    /// Read a region through the cache, chunk at a time (run-coalesced
-    /// planning, kernel scatter straight from the resident frame).
+    /// Read a region through the cache: the region is checked and planned
+    /// like every other surface's, and each chunk is scattered straight
+    /// from its resident frame, in address order.
     pub fn read_region(&mut self, region: &Region, layout: Layout) -> Result<Vec<T>> {
-        let chunking = self.inner.meta().chunking();
-        let chunk_region = chunking.chunks_covering(region)?;
-        let runs = self.inner.meta().grid().region_runs(&chunk_region)?;
-        let extents = region.extents();
-        let strides = layout.strides(&extents);
+        let meta = self.inner.meta();
+        let plan = ChunkPlan::for_region(meta, region)?;
+        let strides = layout.strides(&region.extents());
         let mut out = vec![T::default(); region.volume() as usize];
-        let mut idx = Vec::new();
-        for run in &runs {
-            for t in 0..run.len {
-                run.write_index_at(t, &mut idx);
-                let frame = self.pool.frame(run.addr_at(t))?;
-                let chunk_elems = chunking.chunk_elements(&idx)?;
-                let Some(valid) = chunk_elems.intersect(region) else { continue };
-                crate::kernels::scatter_chunk(
-                    frame,
-                    chunk_elems.lo(),
-                    chunking.strides(),
-                    &mut out,
-                    region.lo(),
-                    &strides,
-                    &valid,
-                );
-            }
+        let (chunk_strides, lo) = (meta.chunking().strides(), region.lo());
+        let boxes = plan.boxes(0..plan.len(), meta.chunking(), region);
+        for (addr, b) in plan.addrs().zip(boxes) {
+            let frame = self.pool.frame(addr)?;
+            let (chunk_box, Some(valid)) = b? else { continue };
+            crate::kernels::scatter_chunk(
+                frame,
+                chunk_box.lo(),
+                chunk_strides,
+                &mut out,
+                lo,
+                &strides,
+                &valid,
+            );
         }
         Ok(out)
     }
@@ -458,10 +455,29 @@ impl<T: Element> CachedDrxFile<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drx_pfs::Pfs;
+    use drx_pfs::fault::Injector;
+    use drx_pfs::{Pfs, PfsConfig, PfsError};
+    use std::sync::Arc;
 
     fn pfs() -> Pfs {
         Pfs::memory(2, 256).unwrap()
+    }
+
+    /// [`pfs`] with a fault injector whose `set_down` takes a stripe
+    /// server offline and back.
+    fn faulty_pfs() -> (Pfs, Arc<Injector>) {
+        let inj = Arc::new(Injector::inert());
+        let config = PfsConfig {
+            n_servers: 2,
+            stripe_size: 256,
+            injector: Some(Arc::clone(&inj)),
+            ..Default::default()
+        };
+        (Pfs::new(config).unwrap(), inj)
+    }
+
+    fn is_unavailable(e: &MpError) -> bool {
+        matches!(e, MpError::Pfs(PfsError::Unavailable { server: 0 }))
     }
 
     #[test]
@@ -591,35 +607,39 @@ mod tests {
 
     #[test]
     fn failed_eviction_writeback_keeps_the_dirty_frame() {
-        let fs = pfs();
+        let (fs, inj) = faulty_pfs();
         let f = fs.create("p").unwrap();
         f.set_len(64 * 8).unwrap();
         let mut pool = ChunkPool::new(f.clone(), 64, 2).unwrap();
         pool.write(0, 0, &[7; 4]).unwrap(); // dirty chunk 0
         let mut buf = [0u8; 4];
         pool.read(1, 0, &mut buf).unwrap();
-        // Fail the next request on server 0 (where chunk 0 lives).
-        fs.inject_fault(0, 0).unwrap();
+        // Take server 0 (where chunk 0 lives) down.
+        inj.set_down(0, true);
         // Faulting in chunk 2 tries to evict chunk 0 (LRU, dirty); the
         // write-back fails, and the dirty frame must survive.
-        assert!(pool.read(2, 0, &mut buf).is_err());
+        let err = pool.read(2, 0, &mut buf).unwrap_err();
+        assert!(is_unavailable(&err), "got: {err}");
         pool.read(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [7; 4], "dirty data lost by failed eviction");
-        // Once the fault clears, flush persists it.
+        // Once the server is back, flush persists it.
+        inj.set_down(0, false);
         pool.flush().unwrap();
         assert_eq!(f.read_vec(0, 4).unwrap(), vec![7; 4]);
     }
 
     #[test]
     fn failed_fetch_counts_no_miss() {
-        let fs = pfs();
+        let (fs, inj) = faulty_pfs();
         let f = fs.create("p").unwrap();
         f.set_len(64 * 4).unwrap();
         let mut pool = ChunkPool::new(f, 64, 4).unwrap();
-        fs.inject_fault(0, 0).unwrap();
+        inj.set_down(0, true);
         let mut buf = [0u8; 4];
-        assert!(pool.read(0, 0, &mut buf).is_err());
+        let err = pool.read(0, 0, &mut buf).unwrap_err();
+        assert!(is_unavailable(&err), "got: {err}");
         assert_eq!(pool.stats().misses, 0, "failed fetch must not count as a miss");
+        inj.set_down(0, false);
         pool.read(0, 0, &mut buf).unwrap();
         assert_eq!(pool.stats().misses, 1);
     }
@@ -648,6 +668,28 @@ mod tests {
         drop(plain);
         let reread: DrxFile<i64> = DrxFile::open(&fs, "c").unwrap();
         assert_eq!(reread.get(&[7, 8]).unwrap(), (7 * 9 + 8) as i64);
+    }
+
+    #[test]
+    fn cached_region_reads_check_the_element_bounds() {
+        // 6×6 elements in 4×4 chunks: the edge chunks carry slack rows and
+        // columns 6..8 that a region must not reach.
+        let fs = pfs();
+        let inner: DrxFile<i64> = DrxFile::create(&fs, "b", &[4, 4], &[6, 6]).unwrap();
+        let mut cached = CachedDrxFile::new(inner, 4).unwrap();
+        for hi in [8, 9] {
+            let region = Region::new(vec![0, 0], vec![hi, hi]).unwrap();
+            let err = cached.read_region(&region, Layout::C).unwrap_err();
+            assert!(
+                matches!(err, MpError::Core(drx_core::DrxError::IndexOutOfBounds { .. })),
+                "region [0,{hi})²: {err}"
+            );
+        }
+        let wrong_rank = Region::new(vec![0], vec![2]).unwrap();
+        let err = cached.read_region(&wrong_rank, Layout::C).unwrap_err();
+        assert!(matches!(err, MpError::Core(drx_core::DrxError::RankMismatch { .. })), "{err}");
+        let full = Region::new(vec![0, 0], vec![6, 6]).unwrap();
+        assert_eq!(cached.read_region(&full, Layout::C).unwrap().len(), 36);
     }
 
     #[test]

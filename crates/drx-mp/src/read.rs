@@ -5,31 +5,35 @@
 //! decomposes the chunk region into arithmetic-progression address runs (one
 //! `F*` owner lookup per run instead of per chunk), and [`ChunkPlan`] keeps
 //! the runs plus a flat address-sorted entry list. Independent reads issue
-//! the merged byte extents directly as one vectored request; collective
-//! reads build an indexed file view over the chunk addresses — exactly the
-//! paper's code listing (`MPI_Type_indexed` over a contiguous chunk type,
-//! then `MPI_File_read_all`) — and go through two-phase I/O. Elements are
+//! the merged byte extents of each staging window directly as one vectored
+//! request; collective reads build an indexed file view over the chunk
+//! addresses — exactly the paper's code listing (`MPI_Type_indexed` over a
+//! contiguous chunk type, then `MPI_File_read_all`) — and go through
+//! two-phase I/O. Elements are
 //! then scattered from chunk buffers to their in-memory positions with the
 //! [`crate::kernels`] copy kernels in the requested layout order (C or
 //! FORTRAN): the on-the-fly transposition that removes the need for
 //! out-of-core transposes.
 //!
-//! Independent reads (here and in [`crate::DrxFile`]) never stage the
-//! whole region: [`ChunkPlan::read_windowed`] fetches the address-sorted
-//! entries one bounded staging window at a time — one stripe round of the
-//! file system — and scatters each window while it is still in cache. Only
-//! the collective read holds a region-sized buffer, because two-phase I/O
-//! redistributes the aggregate request in one exchange.
+//! Independent reads and writes (here and in [`crate::DrxFile`]) never
+//! stage the whole region: [`ChunkPlan::read_windowed`] and
+//! [`ChunkPlan::write_windowed`] share one staging loop that moves the
+//! address-sorted entries one bounded window at a time — one stripe round
+//! of the file system — and runs the copy kernel on each window while it
+//! is still in cache. A write reads back only the partially covered chunks
+//! of a window. Only the collective paths hold a region-sized buffer,
+//! because two-phase I/O redistributes the aggregate request in one
+//! exchange.
 //!
 //! [`ExtendibleShape::region_runs`]: drx_core::ExtendibleShape::region_runs
 
-use crate::error::Result;
+use crate::error::{MpError, Result};
 use crate::handle::DrxmpHandle;
 use crate::kernels;
 use drx_core::plan::ChunkRun;
 use drx_core::{ArrayMeta, Chunking, Element, Layout, Region};
 use drx_msg::Datatype;
-use drx_pfs::Pfs;
+use drx_pfs::PfsFile;
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -45,10 +49,13 @@ thread_local! {
 
 /// A planned chunk access: the run decomposition of the chunk set plus one
 /// entry per chunk in file-address order, ready to become a file view, a
-/// vectored extent list, or a walk over cached chunk frames.
+/// windowed walk over the payload file, or a walk over cached chunk frames.
 ///
-/// This is the one region planner: `DrxFile`, `DrxmpHandle` and the
-/// `drx-server` region pipeline all plan through it.
+/// This is the one region engine: `DrxFile`, `CachedDrxFile`, `DrxmpHandle`
+/// and the `drx-server` region pipeline all validate and plan through
+/// [`ChunkPlan::for_region`] and walk chunk boxes with
+/// [`ChunkPlan::boxes`]; independent reads and writes share one staging
+/// loop.
 pub struct ChunkPlan {
     /// Run decomposition, in row-major chunk-index order (runs from
     /// different rows may interleave in address space).
@@ -60,10 +67,11 @@ pub struct ChunkPlan {
 }
 
 impl ChunkPlan {
-    /// Plan the chunks covering `region` of the array `meta` describes:
-    /// run-coalesced `F*` planning, entries sorted by address. The caller
-    /// has checked `region` against the array's bounds.
+    /// Check `region` against the array `meta` describes
+    /// ([`ArrayMeta::check_region`]), then plan the chunks covering it:
+    /// run-coalesced `F*` planning, entries sorted by address.
     pub fn for_region(meta: &ArrayMeta, region: &Region) -> Result<ChunkPlan> {
+        meta.check_region(region)?;
         let chunk_region = meta.chunking().chunks_covering(region)?;
         let runs = meta.grid().region_runs(&chunk_region)?;
         Ok(ChunkPlan::from_runs(runs, meta.chunk_bytes()))
@@ -108,18 +116,6 @@ impl ChunkPlan {
         self.entries.iter().map(|&(addr, _, _)| addr)
     }
 
-    /// The element box of every planned chunk, in entry order — the whole
-    /// allocated chunk, including any slack beyond the element bounds.
-    pub fn chunk_regions(&self, chunking: &Chunking) -> Result<Vec<Region>> {
-        let mut idx = Vec::new();
-        (0..self.len())
-            .map(|i| {
-                self.write_index_at(i, &mut idx);
-                Ok(chunking.chunk_elements(&idx)?)
-            })
-            .collect()
-    }
-
     /// Total bytes the plan transfers.
     pub(crate) fn bytes(&self) -> usize {
         self.entries.len() * self.chunk_bytes as usize
@@ -127,9 +123,29 @@ impl ChunkPlan {
 
     /// Write the chunk index of entry `i` into `scratch` (no allocation
     /// once `scratch` has capacity).
-    pub fn write_index_at(&self, i: usize, scratch: &mut Vec<usize>) {
+    pub(crate) fn write_index_at(&self, i: usize, scratch: &mut Vec<usize>) {
         let (_, run, step) = self.entries[i];
         self.runs[run as usize].write_index_at(step as usize, scratch);
+    }
+
+    /// The chunk walk: for each entry in `entries`, in order, the chunk's
+    /// element box — the whole allocated chunk, slack beyond the element
+    /// bounds included — and that box's intersection with `region`
+    /// (`None` when they are disjoint). A chunk is fully covered when the
+    /// two are equal.
+    pub fn boxes<'a>(
+        &'a self,
+        entries: Range<usize>,
+        chunking: &'a Chunking,
+        region: &'a Region,
+    ) -> impl Iterator<Item = Result<(Region, Option<Region>)>> + 'a {
+        let mut idx = Vec::new();
+        entries.map(move |i| {
+            self.write_index_at(i, &mut idx);
+            let chunk_box = chunking.chunk_elements(&idx)?;
+            let valid = chunk_box.intersect(region);
+            Ok((chunk_box, valid))
+        })
     }
 
     /// The indexed filetype over the planned chunk addresses (the paper's
@@ -153,15 +169,9 @@ impl ChunkPlan {
         Ok(Some(Datatype::indexed(&lens, &displs, &base)?))
     }
 
-    /// The plan's file byte ranges `(offset, len)` in increasing offset
-    /// order, adjacent chunks merged — the vectored request the
-    /// independent fast path issues directly.
-    pub(crate) fn byte_extents(&self) -> Vec<(u64, u64)> {
-        self.byte_extents_of(0..self.len())
-    }
-
-    /// [`ChunkPlan::byte_extents`] of the entries in `range` only.
-    fn byte_extents_of(&self, range: Range<usize>) -> Vec<(u64, u64)> {
+    /// The file byte ranges `(offset, len)` of the entries in `range`, in
+    /// increasing offset order, adjacent chunks merged.
+    fn window_extents(&self, range: Range<usize>) -> Vec<(u64, u64)> {
         let cb = self.chunk_bytes;
         let mut out: Vec<(u64, u64)> = Vec::new();
         for &(addr, _, _) in &self.entries[range] {
@@ -173,73 +183,127 @@ impl ChunkPlan {
         out
     }
 
-    /// Staging-window size in whole chunks: one stripe round of `pfs`
-    /// (`n_servers × stripe_size`, so a window's requests reach every
-    /// server once), at most [`STAGING_MAX_BYTES`], at least one chunk.
-    fn window_chunks(&self, pfs: &Pfs) -> usize {
-        let round = pfs.n_servers() as u64 * pfs.stripe_size();
-        (round.min(STAGING_MAX_BYTES) / self.chunk_bytes).max(1) as usize
-    }
-
-    /// Scatter the chunk images in `bytes` — entries `first..`, one chunk
+    /// Scatter the chunk images in `bytes` — entries `entries`, one chunk
     /// per `chunk_bytes` — into `out`, the dense buffer of `region` under
     /// `strides`. Chunks outside `region` are skipped.
     pub(crate) fn scatter<T: Element>(
         &self,
-        first: usize,
+        entries: Range<usize>,
         bytes: &[u8],
         chunking: &Chunking,
         region: &Region,
         strides: &[u64],
         out: &mut [T],
     ) -> Result<()> {
-        let cb = self.chunk_bytes as usize;
-        let mut idx = Vec::new();
-        for (i, chunk) in (first..).zip(bytes.chunks_exact(cb)) {
-            self.write_index_at(i, &mut idx);
-            let chunk_region = chunking.chunk_elements(&idx)?;
-            let Some(valid) = chunk_region.intersect(region) else { continue };
-            kernels::scatter_chunk(
-                chunk,
-                chunk_region.lo(),
-                chunking.strides(),
-                out,
-                region.lo(),
-                strides,
-                &valid,
-            );
+        let slots = bytes.chunks_exact(self.chunk_bytes as usize);
+        let (chunk_strides, lo) = (chunking.strides(), region.lo());
+        for (chunk, b) in slots.zip(self.boxes(entries, chunking, region)) {
+            let (chunk_box, Some(valid)) = b? else { continue };
+            kernels::scatter_chunk(chunk, chunk_box.lo(), chunk_strides, out, lo, strides, &valid);
         }
         Ok(())
     }
 
-    /// Independent read of `region` in `layout` order through a bounded
-    /// staging window: one `read` (a vectored extent request) per window
-    /// of whole, address-sorted entries, each window scattered before the
-    /// next is fetched. The window is sized from `pfs`'s stripe geometry
-    /// and is never larger than the plan.
-    pub(crate) fn read_windowed<T: Element>(
+    /// Gather `data`, the dense buffer of `region` under `strides`, into
+    /// the chunk images in `bytes` — one per entry, whose `boxes` are
+    /// given. Bytes outside `region` are left as they are.
+    pub(crate) fn gather<T: Element>(
         &self,
-        pfs: &Pfs,
+        bytes: &mut [u8],
+        boxes: &[(Region, Option<Region>)],
         chunking: &Chunking,
         region: &Region,
-        layout: Layout,
-        mut read: impl FnMut(&[(u64, u64)], &mut [u8]) -> Result<()>,
-    ) -> Result<Vec<T>> {
-        let strides = layout.strides(&region.extents());
-        let mut out = vec![T::default(); region.volume() as usize];
-        let per_window = self.window_chunks(pfs);
+        strides: &[u64],
+        data: &[T],
+    ) {
+        let slots = bytes.chunks_exact_mut(self.chunk_bytes as usize);
+        let (chunk_strides, lo) = (chunking.strides(), region.lo());
+        for (chunk, (chunk_box, valid)) in slots.zip(boxes) {
+            let Some(valid) = valid else { continue };
+            kernels::gather_chunk(data, lo, strides, chunk, chunk_box.lo(), chunk_strides, valid);
+        }
+    }
+
+    /// The one staging loop of independent I/O: visit the address-sorted
+    /// entries one bounded window at a time, handing `f` each window's
+    /// entry range and its staging slots. A window is one stripe round of
+    /// `file` (`n_servers × stripe_size`, so its requests reach every
+    /// server once), at most [`STAGING_MAX_BYTES`], at least one chunk,
+    /// and never larger than the plan. The staging buffer is the calling
+    /// thread's and is not cleared between windows.
+    fn for_each_window(
+        &self,
+        file: &PfsFile,
+        mut f: impl FnMut(Range<usize>, &mut [u8]) -> Result<()>,
+    ) -> Result<()> {
         let cb = self.chunk_bytes as usize;
-        // An error drops the buffer; the thread's next read allocates anew.
+        let per_window = (file.stripe_round().min(STAGING_MAX_BYTES) / self.chunk_bytes).max(1);
+        let per_window = per_window as usize;
+        // An error drops the buffer; the thread's next call allocates anew.
         let mut staging = STAGING.take();
         staging.resize(per_window.min(self.len()) * cb, 0);
         for first in (0..self.len()).step_by(per_window) {
             let entries = first..(first + per_window).min(self.len());
             let window = &mut staging[..entries.len() * cb];
-            read(&self.byte_extents_of(entries), window)?;
-            self.scatter(first, window, chunking, region, &strides, &mut out)?;
+            f(entries, window)?;
         }
         STAGING.set(staging);
+        Ok(())
+    }
+
+    /// Independent read of `region` in `layout` order from the payload
+    /// `file`: per window, one vectored read of the window's chunks, then
+    /// the scatter kernel while the window is still in cache.
+    pub(crate) fn read_windowed<T: Element>(
+        &self,
+        file: &PfsFile,
+        chunking: &Chunking,
+        region: &Region,
+        layout: Layout,
+    ) -> Result<Vec<T>> {
+        let strides = layout.strides(&region.extents());
+        let mut out = vec![T::default(); region.volume() as usize];
+        self.for_each_window(file, |entries, window| {
+            file.read_extents_into(&self.window_extents(entries.clone()), window)?;
+            self.scatter(entries, window, chunking, region, &strides, &mut out)
+        })?;
         Ok(out)
+    }
+
+    /// Independent write of `data`, the dense buffer of `region` in
+    /// `layout` order, to the payload `file`: per window, one piece read
+    /// of only the partially covered chunks straight into their staging
+    /// slots (so neighbouring elements and edge-chunk slack survive), the
+    /// gather kernel, then one vectored write of the whole window. Fully
+    /// covered chunks are never read: the gather overwrites every byte.
+    pub(crate) fn write_windowed<T: Element>(
+        &self,
+        file: &PfsFile,
+        chunking: &Chunking,
+        region: &Region,
+        layout: Layout,
+        data: &[T],
+    ) -> Result<()> {
+        check_buffer(region, data.len())?;
+        let strides = layout.strides(&region.extents());
+        let cb = self.chunk_bytes as usize;
+        let mut boxes = Vec::new();
+        self.for_each_window(file, |entries, window| {
+            boxes.clear();
+            for b in self.boxes(entries.clone(), chunking, region) {
+                boxes.push(b?);
+            }
+            let slots = window.chunks_exact_mut(cb).zip(&self.entries[entries.clone()]);
+            file.read_pieces(
+                slots
+                    .zip(&boxes)
+                    .filter(|(_, (chunk_box, valid))| valid.as_ref() != Some(chunk_box))
+                    .map(|((slot, &(addr, _, _)), _)| (addr * self.chunk_bytes, slot)),
+            )?;
+            self.gather(window, &boxes, chunking, region, &strides, data);
+            file.write_extents(&self.window_extents(entries), window)?;
+            Ok(())
+        })
     }
 
     /// Consume the plan into `(chunk index, address)` pairs in entry
@@ -261,42 +325,36 @@ impl ChunkPlan {
     }
 }
 
-impl<T: Element> DrxmpHandle<T> {
-    /// Plan the chunks covering an element region (run-coalesced,
-    /// address-sorted entries).
-    pub(crate) fn plan_region(&self, region: &Region) -> Result<ChunkPlan> {
-        self.check_region(region)?;
-        ChunkPlan::for_region(&self.meta, region)
+/// Check that a dense buffer of `len` elements covers `region` exactly.
+pub(crate) fn check_buffer(region: &Region, len: usize) -> Result<()> {
+    let n = region.volume() as usize;
+    if len != n {
+        return Err(MpError::Core(drx_core::DrxError::BufferSize { expected: n, got: len }));
     }
+    Ok(())
+}
 
+impl<T: Element> DrxmpHandle<T> {
     /// Plan an explicit address-sorted chunk list (zone reads).
     pub(crate) fn plan_chunks(&self, chunks: Vec<(Vec<usize>, u64)>) -> ChunkPlan {
         ChunkPlan::from_pairs(chunks, self.meta.chunk_bytes())
     }
 
-    /// Execute a plan's raw reads. `collective` uses two-phase `read_all`
-    /// through an indexed file view; independent reads issue the merged
-    /// extents directly as one vectored request (no view churn).
-    pub(crate) fn fetch_plan(&mut self, plan: &ChunkPlan, collective: bool) -> Result<Vec<u8>> {
+    /// Collective read of a plan's chunks: two-phase `read_all` through an
+    /// indexed file view, into one buffer holding every planned chunk.
+    pub(crate) fn read_plan_all(&mut self, plan: &ChunkPlan) -> Result<Vec<u8>> {
         let mut bytes = vec![0u8; plan.bytes()];
-        if collective {
-            let ft = plan.filetype()?;
-            self.xta.set_view(0, ft);
-            self.xta.read_all(0, &mut bytes)?;
-            self.xta.set_view(0, None);
-        } else {
-            self.xta.read_extents(&plan.byte_extents(), &mut bytes)?;
-        }
+        self.xta.set_view(0, plan.filetype()?);
+        self.xta.read_all(0, &mut bytes)?;
+        self.xta.set_view(0, None);
         Ok(bytes)
     }
 
     /// Independent read of an arbitrary element region into the requested
     /// memory layout (`DRXMP_Read`).
     pub fn read_region(&mut self, region: &Region, layout: Layout) -> Result<Vec<T>> {
-        let plan = self.plan_region(region)?;
-        plan.read_windowed(&self.pfs, self.meta.chunking(), region, layout, |extents, buf| {
-            Ok(self.xta.read_extents(extents, buf)?)
-        })
+        let plan = ChunkPlan::for_region(&self.meta, region)?;
+        plan.read_windowed(self.xta.file(), self.meta.chunking(), region, layout)
     }
 
     /// Collective read (`DRXMP_Read_all`): every rank passes its own region
@@ -305,16 +363,15 @@ impl<T: Element> DrxmpHandle<T> {
     pub fn read_region_all(&mut self, region: Option<&Region>, layout: Layout) -> Result<Vec<T>> {
         match region {
             Some(r) => {
-                let plan = self.plan_region(r)?;
-                let bytes = self.fetch_plan(&plan, true)?;
+                let plan = ChunkPlan::for_region(&self.meta, r)?;
+                let bytes = self.read_plan_all(&plan)?;
                 let strides = layout.strides(&r.extents());
                 let mut out = vec![T::default(); r.volume() as usize];
-                plan.scatter(0, &bytes, self.meta.chunking(), r, &strides, &mut out)?;
+                plan.scatter(0..plan.len(), &bytes, self.meta.chunking(), r, &strides, &mut out)?;
                 Ok(out)
             }
             None => {
-                let plan = self.plan_chunks(Vec::new());
-                let _ = self.fetch_plan(&plan, true)?;
+                self.read_plan_all(&self.plan_chunks(Vec::new()))?;
                 Ok(Vec::new())
             }
         }
@@ -343,7 +400,7 @@ impl<T: Element> DrxmpHandle<T> {
     pub fn read_my_chunks(&mut self) -> Result<Vec<(Vec<usize>, Vec<T>)>> {
         let pairs = self.zone_chunks(self.rank())?;
         let plan = self.plan_chunks(pairs);
-        let bytes = self.fetch_plan(&plan, true)?;
+        let bytes = self.read_plan_all(&plan)?;
         let cb = self.meta.chunk_bytes() as usize;
         plan.into_index_addr_pairs()
             .into_iter()

@@ -162,83 +162,22 @@ impl<T: Element> DrxFile<T> {
         Ok(())
     }
 
-    /// The run-coalesced chunk plan covering an element region; entries
-    /// are sorted by linear address — the sequential-scan order of §II-A.
-    fn plan(&self, region: &Region) -> Result<ChunkPlan> {
-        self.check_region(region)?;
-        ChunkPlan::for_region(&self.meta, region)
-    }
-
-    fn check_region(&self, region: &Region) -> Result<()> {
-        if region.rank() != self.meta.rank() {
-            return Err(MpError::Core(drx_core::DrxError::RankMismatch {
-                expected: self.meta.rank(),
-                got: region.rank(),
-            }));
-        }
-        for (&h, &n) in region.hi().iter().zip(self.bounds()) {
-            if h > n {
-                return Err(MpError::Core(drx_core::DrxError::IndexOutOfBounds {
-                    index: region.hi().to_vec(),
-                    bounds: self.bounds().to_vec(),
-                }));
-            }
-        }
-        Ok(())
-    }
-
     /// Read a rectilinear element region into a dense buffer with the
     /// requested memory layout. Chunks are fetched in increasing file
-    /// address order (sequential scan), one bounded staging window at a
-    /// time, and elements are scattered to their in-memory positions — the
-    /// on-the-fly transposition of §II-A.
+    /// address order (sequential scan, §II-A), one bounded staging window
+    /// at a time, and elements are scattered to their in-memory positions —
+    /// the on-the-fly transposition of §II-A.
     pub fn read_region(&self, region: &Region, layout: Layout) -> Result<Vec<T>> {
-        let plan = self.plan(region)?;
-        plan.read_windowed(&self.pfs, self.meta.chunking(), region, layout, |extents, buf| {
-            Ok(self.xta.read_extents_into(extents, buf)?)
-        })
+        let plan = ChunkPlan::for_region(&self.meta, region)?;
+        plan.read_windowed(&self.xta, self.meta.chunking(), region, layout)
     }
 
-    /// Write a dense buffer (in the given layout) into an element region.
-    /// Partial chunks are read-modified-written; fully covered chunks are
-    /// written directly.
+    /// Write a dense buffer (in the given layout) into an element region,
+    /// one bounded staging window at a time. Partially covered chunks are
+    /// read-modified-written; fully covered chunks are written directly.
     pub fn write_region(&mut self, region: &Region, layout: Layout, data: &[T]) -> Result<()> {
-        let n = region.volume() as usize;
-        if data.len() != n {
-            return Err(MpError::Core(drx_core::DrxError::BufferSize {
-                expected: n,
-                got: data.len(),
-            }));
-        }
-        let plan = self.plan(region)?;
-        let chunk_bytes = self.meta.chunk_bytes();
-        let extents = region.extents();
-        let strides = layout.strides(&extents);
-        let chunk_strides = self.meta.chunking().strides();
-        let mut idx = Vec::new();
-        for i in 0..plan.len() {
-            plan.write_index_at(i, &mut idx);
-            let chunk_region = self.meta.chunking().chunk_elements(&idx)?;
-            let Some(valid) = chunk_region.intersect(region) else { continue };
-            let addr = plan.entries[i].0;
-            let full = valid == chunk_region;
-            let mut bytes = if full {
-                vec![0u8; chunk_bytes as usize]
-            } else {
-                self.xta.read_vec(addr * chunk_bytes, chunk_bytes as usize)?
-            };
-            crate::kernels::gather_chunk(
-                data,
-                region.lo(),
-                &strides,
-                &mut bytes,
-                chunk_region.lo(),
-                chunk_strides,
-                &valid,
-            );
-            self.xta.write_at(addr * chunk_bytes, &bytes)?;
-        }
-        Ok(())
+        let plan = ChunkPlan::for_region(&self.meta, region)?;
+        plan.write_windowed(&self.xta, self.meta.chunking(), region, layout, data)
     }
 
     /// Read the whole valid array as a dense buffer.
@@ -252,8 +191,8 @@ impl<T: Element> DrxFile<T> {
         self.write_region(&region, layout, data)
     }
 
-    /// Fill every valid element from a function of its index (initialization
-    /// helper; writes chunk by chunk).
+    /// Fill every valid element from a function of its index
+    /// (initialization helper; one region write).
     pub fn fill_with(&mut self, mut f: impl FnMut(&[usize]) -> T) -> Result<()> {
         let region = self.meta.element_region();
         let data: Vec<T> = region.iter().map(|idx| f(&idx)).collect();

@@ -2,116 +2,90 @@
 //!
 //! Writes are chunk-granular: fully covered chunks are assembled directly
 //! from the user buffer; partially covered chunks are read first
-//! (read-modify-write) so neighbouring elements survive. The collective
-//! variants perform both the pre-read and the write as two-phase collective
-//! I/O. Concurrent writers must target disjoint regions (zones are disjoint
-//! by construction), matching MPI-IO's semantics for overlapping access.
+//! (read-modify-write) so neighbouring elements survive. Independent
+//! writes run through [`ChunkPlan::write_windowed`], one staging window at
+//! a time. The collective variants perform both the pre-read and the write
+//! as two-phase collective I/O over a region-sized buffer. Concurrent
+//! writers must target disjoint regions (zones are disjoint by
+//! construction), matching MPI-IO's semantics for overlapping access.
 
 use crate::error::{MpError, Result};
 use crate::handle::DrxmpHandle;
-use crate::read::ChunkPlan;
+use crate::read::{check_buffer, ChunkPlan};
 use drx_core::{Element, Layout, Region};
 
 impl<T: Element> DrxmpHandle<T> {
-    /// Assemble chunk images for `region` from `data`, reading partial
-    /// chunks via `fetch` first.
+    /// Assemble the chunk images of a collective write of `region` from
+    /// `data`, reading the partially covered chunks collectively first.
     fn assemble_chunks(
         &mut self,
         region: &Region,
         layout: Layout,
         data: &[T],
-        collective: bool,
     ) -> Result<(ChunkPlan, Vec<u8>)> {
-        let n = region.volume() as usize;
-        if data.len() != n {
-            return Err(MpError::Core(drx_core::DrxError::BufferSize {
-                expected: n,
-                got: data.len(),
-            }));
-        }
-        let plan = self.plan_region(region)?;
-        let chunk_bytes = self.meta.chunk_bytes() as usize;
+        check_buffer(region, data.len())?;
+        let plan = ChunkPlan::for_region(&self.meta, region)?;
+        let chunking = self.meta.chunking();
+        let boxes = plan.boxes(0..plan.len(), chunking, region).collect::<Result<Vec<_>>>()?;
         // Which planned chunks are only partially covered by the region?
         // Entries are address-sorted, so `partial` comes out pre-sorted.
         let mut partial: Vec<(Vec<usize>, u64)> = Vec::new();
-        let mut idx = Vec::new();
-        for i in 0..plan.len() {
-            plan.write_index_at(i, &mut idx);
-            let chunk_region = self.meta.chunking().chunk_elements(&idx)?;
-            let covered = chunk_region.intersect(region);
-            if covered.as_ref() != Some(&chunk_region) {
-                partial.push((idx.clone(), plan.entries[i].0));
+        for (i, (chunk_box, valid)) in boxes.iter().enumerate() {
+            if valid.as_ref() != Some(chunk_box) {
+                let mut idx = Vec::new();
+                plan.write_index_at(i, &mut idx);
+                partial.push((idx, plan.entries[i].0));
             }
         }
         let partial_plan = self.plan_chunks(partial);
-        if collective {
-            // Guard against silent corruption: two ranks read-modify-writing
-            // the *same* partial chunk race at chunk granularity (the reason
-            // the paper partitions along chunk boundaries). Detect it
-            // collectively and fail loudly on every rank.
-            let mine: Vec<u64> = partial_plan.entries.iter().map(|&(a, _, _)| a).collect();
-            let all = self.comm.allgather_vec::<u64>(&mine)?;
-            let mut seen = std::collections::HashMap::new();
-            for (rank, addrs) in all.iter().enumerate() {
-                for &a in addrs {
-                    if let Some(prev) = seen.insert(a, rank) {
-                        return Err(MpError::Invalid(format!(
-                            "collective write conflict: ranks {prev} and {rank} both \
-                             partially cover chunk {a}; align regions to chunk boundaries"
-                        )));
-                    }
+        // Guard against silent corruption: two ranks read-modify-writing
+        // the *same* partial chunk race at chunk granularity (the reason
+        // the paper partitions along chunk boundaries). Detect it
+        // collectively and fail loudly on every rank.
+        let mine: Vec<u64> = partial_plan.addrs().collect();
+        let all = self.comm.allgather_vec::<u64>(&mine)?;
+        let mut seen = std::collections::HashMap::new();
+        for (rank, addrs) in all.iter().enumerate() {
+            for &a in addrs {
+                if let Some(prev) = seen.insert(a, rank) {
+                    return Err(MpError::Invalid(format!(
+                        "collective write conflict: ranks {prev} and {rank} both \
+                         partially cover chunk {a}; align regions to chunk boundaries"
+                    )));
                 }
             }
         }
-        let partial_bytes = self.fetch_plan(&partial_plan, collective)?;
-        // Build the chunk images.
-        let extents = region.extents();
-        let strides = layout.strides(&extents);
-        let chunk_strides = self.meta.chunking().strides();
+        let partial_bytes = self.read_plan_all(&partial_plan)?;
+        // Build the chunk images: partial chunks start from their stored
+        // bytes, then the region's elements are gathered in.
+        let cb = self.meta.chunk_bytes() as usize;
         let mut bytes = vec![0u8; plan.bytes()];
-        let mut pi = 0usize;
-        for (i, &(addr, _, _)) in plan.entries.iter().enumerate() {
-            let dst = &mut bytes[i * chunk_bytes..(i + 1) * chunk_bytes];
-            if pi < partial_plan.len() && partial_plan.entries[pi].0 == addr {
-                dst.copy_from_slice(&partial_bytes[pi * chunk_bytes..(pi + 1) * chunk_bytes]);
-                pi += 1;
-            }
-            plan.write_index_at(i, &mut idx);
-            let chunk_region = self.meta.chunking().chunk_elements(&idx)?;
-            let Some(valid) = chunk_region.intersect(region) else { continue };
-            crate::kernels::gather_chunk(
-                data,
-                region.lo(),
-                &strides,
-                dst,
-                chunk_region.lo(),
-                chunk_strides,
-                &valid,
-            );
+        let partial_slots = bytes
+            .chunks_exact_mut(cb)
+            .zip(&boxes)
+            .filter(|(_, (b, valid))| valid.as_ref() != Some(b));
+        for ((slot, _), image) in partial_slots.zip(partial_bytes.chunks_exact(cb)) {
+            slot.copy_from_slice(image);
         }
+        let strides = layout.strides(&region.extents());
+        plan.gather(&mut bytes, &boxes, self.meta.chunking(), region, &strides, data);
         Ok((plan, bytes))
     }
 
-    /// Write the assembled chunk images. Collective writes go through the
-    /// indexed file view and two-phase I/O; independent writes issue the
-    /// merged extents directly as one vectored request.
-    fn store_plan(&mut self, plan: &ChunkPlan, bytes: &[u8], collective: bool) -> Result<()> {
-        if collective {
-            let ft = plan.filetype()?;
-            self.xta.set_view(0, ft);
-            self.xta.write_all(0, bytes)?;
-            self.xta.set_view(0, None);
-        } else {
-            self.xta.write_extents(&plan.byte_extents(), bytes)?;
-        }
+    /// Collective write of assembled chunk images through the plan's
+    /// indexed file view and two-phase I/O.
+    fn write_plan_all(&mut self, plan: &ChunkPlan, bytes: &[u8]) -> Result<()> {
+        self.xta.set_view(0, plan.filetype()?);
+        self.xta.write_all(0, bytes)?;
+        self.xta.set_view(0, None);
         Ok(())
     }
 
     /// Independent write of an element region from a dense buffer in the
     /// given layout (`DRXMP_Write`).
     pub fn write_region(&mut self, region: &Region, layout: Layout, data: &[T]) -> Result<()> {
-        let (plan, bytes) = self.assemble_chunks(region, layout, data, false)?;
-        self.store_plan(&plan, &bytes, false)
+        let plan = ChunkPlan::for_region(&self.meta, region)?;
+        plan.write_windowed(self.xta.file(), self.meta.chunking(), region, layout, data)
     }
 
     /// Collective write (`DRXMP_Write_all`): every rank passes its own
@@ -124,16 +98,16 @@ impl<T: Element> DrxmpHandle<T> {
     ) -> Result<()> {
         match region {
             Some((r, data)) => {
-                let (plan, bytes) = self.assemble_chunks(r, layout, data, true)?;
-                self.store_plan(&plan, &bytes, true)
+                let (plan, bytes) = self.assemble_chunks(r, layout, data)?;
+                self.write_plan_all(&plan, &bytes)
             }
             None => {
                 // Mirror the Some branch's collective sequence exactly:
                 // conflict-check allgather, pre-read, write.
                 let _ = self.comm.allgather_vec::<u64>(&[])?;
                 let empty = self.plan_chunks(Vec::new());
-                let _ = self.fetch_plan(&empty, true)?;
-                self.store_plan(&empty, &[], true)
+                self.read_plan_all(&empty)?;
+                self.write_plan_all(&empty, &[])
             }
         }
     }
@@ -185,7 +159,7 @@ impl<T: Element> DrxmpHandle<T> {
             bytes.extend_from_slice(&drx_core::dtype::encode_slice(&chunks[i].1));
         }
         let plan = self.plan_chunks(sorted);
-        self.store_plan(&plan, &bytes, true)
+        self.write_plan_all(&plan, &bytes)
     }
 
     /// Collective read-modify-write over this rank's zone: every rank reads

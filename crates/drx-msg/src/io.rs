@@ -59,6 +59,12 @@ impl MsgFile {
         &self.comm
     }
 
+    /// The underlying striped file, for I/O at absolute offsets that
+    /// bypasses the view.
+    pub fn file(&self) -> &PfsFile {
+        &self.file
+    }
+
     /// Logical file size in bytes.
     pub fn len(&self) -> u64 {
         self.file.len()
@@ -104,22 +110,6 @@ impl MsgFile {
             pos += len as usize;
         }
         debug_assert_eq!(pos, buf.len());
-        Ok(())
-    }
-
-    /// Vectored independent read of **absolute** byte extents, bypassing
-    /// the view. `buf` receives the concatenation of the extents; requests
-    /// go through the PFS I/O worker pool, so extents landing on distinct
-    /// stripe servers are serviced concurrently.
-    pub fn read_extents(&self, extents: &[(u64, u64)], buf: &mut [u8]) -> Result<()> {
-        self.file.read_extents_into(extents, buf)?;
-        Ok(())
-    }
-
-    /// Vectored independent write of absolute byte extents (see
-    /// [`MsgFile::read_extents`]).
-    pub fn write_extents(&self, extents: &[(u64, u64)], data: &[u8]) -> Result<()> {
-        self.file.write_extents(extents, data)?;
         Ok(())
     }
 

@@ -15,8 +15,6 @@ pub enum PfsError {
     AlreadyExists(String),
     /// Invalid configuration (zero servers, zero stripe size, …).
     Config(String),
-    /// A fault injected by a test plan fired.
-    Injected { server: usize, detail: String },
     /// The I/O server holding part of the range is down. Not transient:
     /// callers surface it (degraded mode) rather than spin on retries.
     Unavailable { server: usize },
@@ -38,9 +36,6 @@ impl fmt::Display for PfsError {
             PfsError::NoSuchFile(name) => write!(f, "no such file: {name}"),
             PfsError::AlreadyExists(name) => write!(f, "file exists: {name}"),
             PfsError::Config(why) => write!(f, "bad PFS configuration: {why}"),
-            PfsError::Injected { server, detail } => {
-                write!(f, "injected fault on server {server}: {detail}")
-            }
             PfsError::Unavailable { server } => {
                 write!(f, "I/O server {server} is unavailable")
             }
@@ -94,9 +89,6 @@ mod tests {
         assert!(PfsError::OutOfRange { offset: 5, len: 10, file_len: 8 }
             .to_string()
             .contains("EOF 8"));
-        assert!(PfsError::Injected { server: 3, detail: "boom".into() }
-            .to_string()
-            .contains("server 3"));
         assert!(PfsError::Unavailable { server: 1 }.to_string().contains("unavailable"));
         assert!(PfsError::ShortIo { server: 0, expected: 8, got: 4 }
             .to_string()

@@ -4,7 +4,7 @@
 use crate::error::{PfsError, Result};
 use crate::par::{self, JobList, Piece};
 use crate::retry::RetryPolicy;
-use crate::server::{Backing, FaultPlan, IoServer};
+use crate::server::{Backing, IoServer};
 use crate::stats::{CostModel, PfsStats};
 use crate::striping::StripeMap;
 use drx_fault::Injector;
@@ -196,16 +196,6 @@ impl Pfs {
         }
     }
 
-    /// Arm a one-shot fault on one server (test hook).
-    pub fn inject_fault(&self, server: usize, after_requests: u64) -> Result<()> {
-        self.inner
-            .servers
-            .get(server)
-            .ok_or_else(|| PfsError::Config(format!("no server {server}")))?
-            .inject_fault(FaultPlan { after_requests });
-        Ok(())
-    }
-
     /// Adopt a file whose server-local streams already exist — crash
     /// recovery over a [`Backing::Crash`] registry (or a `Disk` directory)
     /// that survived the previous instance. The logical length is rebuilt
@@ -385,12 +375,17 @@ impl PfsFile {
         // Best effort: trim the server-local stream at the boundary of the
         // new logical end (only the first fragment marks a meaningful
         // truncation point; later stripes read as zeros regardless).
-        let span = self.inner.map.stripe_size() * self.inner.servers.len() as u64;
-        if let Some(frag) = self.inner.map.split(len, span).first() {
+        if let Some(frag) = self.inner.map.split(len, self.stripe_round()).first() {
             // allow-discard: stripe shrink is advisory; reads past the logical length are zeros
             let _ = self.inner.servers[frag.server].set_len(&self.name, frag.local_offset);
         }
         Ok(())
+    }
+
+    /// Bytes in one stripe round, `n_servers × stripe_size`: the span
+    /// whose requests reach every server once.
+    pub fn stripe_round(&self) -> u64 {
+        self.inner.map.stripe_size() * self.inner.servers.len() as u64
     }
 
     /// Number of server requests a read/write of this byte range generates
@@ -511,18 +506,6 @@ mod tests {
         assert!(f.read_at(0, &mut [0; 11]).is_err());
         f.set_len(20).unwrap();
         assert_eq!(f.len(), 20);
-    }
-
-    #[test]
-    fn injected_fault_surfaces() {
-        let fs = fs();
-        let f = fs.create("f").unwrap();
-        fs.inject_fault(0, 0).unwrap();
-        // A 64-byte write at 0 touches server 0 first.
-        let err = f.write_at(0, &[0u8; 64]).unwrap_err();
-        assert!(matches!(err, PfsError::Injected { server: 0, .. }));
-        // After the one-shot fault, the same write succeeds.
-        f.write_at(0, &[0u8; 64]).unwrap();
     }
 
     #[test]

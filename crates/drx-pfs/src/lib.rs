@@ -11,9 +11,9 @@
 //! fragments of one vectored call ([`PfsFile::read_pieces`],
 //! [`PfsFile::write_pieces`]) that continue a server's local run join that
 //! server's open request, so a contiguous read of `k` stripe rounds costs
-//! one request per server. The request is also the unit of accounting, of
-//! fault plans and of retry; the storage stream still sees one operation
-//! per memory buffer.
+//! one request per server. The request is also the unit of accounting and
+//! of retry; the storage stream still sees one operation per memory
+//! buffer.
 //!
 //! The simulator exists because the evaluation experiments (E4 parallel
 //! collective I/O, E5 chunk-vs-stripe alignment) depend on the *striping
@@ -53,6 +53,6 @@ pub use backend::{CrashBackend, FaultyBackend, FileBackend, MemBackend, Storage}
 pub use error::{PfsError, Result};
 pub use file::{Pfs, PfsConfig, PfsFile};
 pub use retry::RetryPolicy;
-pub use server::{Backing, FaultPlan, IoServer};
+pub use server::{Backing, IoServer};
 pub use stats::{CostModel, PfsStats, ServerStats, SIZE_BUCKETS, SIZE_BUCKET_LABELS};
 pub use striping::{Fragment, StripeMap};

@@ -1,5 +1,5 @@
 //! A simulated I/O server: a namespace of per-file storage streams plus
-//! request accounting and optional fault injection.
+//! request accounting and optional scripted fault injection.
 
 use crate::backend::{CrashBackend, FaultyBackend, FileBackend, MemBackend, Storage};
 use crate::error::{PfsError, Result};
@@ -33,13 +33,6 @@ impl std::fmt::Debug for Backing {
     }
 }
 
-/// One-shot fault plan: the request after `after_requests` more requests
-/// fails with [`PfsError::Injected`].
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    pub after_requests: u64,
-}
-
 struct FileEntry {
     storage: Box<dyn Storage>,
     /// Where the previous request on this file ended, for seek detection.
@@ -59,8 +52,6 @@ pub struct IoServer {
     files: Mutex<HashMap<String, FileEntry>>,
     // lock-class: stats => PfsStats
     stats: Mutex<ServerStats>,
-    // lock-class: fault => PfsFault
-    fault: Mutex<Option<FaultPlan>>,
     /// Scripted fault injector shared across all servers of a file system;
     /// `None` means storage operations run unwrapped.
     injector: Option<Arc<Injector>>,
@@ -97,7 +88,6 @@ impl IoServer {
             cost,
             files: Mutex::new(HashMap::new()),
             stats: Mutex::new(ServerStats::default()),
-            fault: Mutex::new(None),
             injector,
             latency,
         }))
@@ -131,24 +121,6 @@ impl IoServer {
             Some(inj) => Box::new(FaultyBackend::new(inner, Arc::clone(inj), self.id)),
             None => inner,
         })
-    }
-
-    fn check_fault(&self, detail: &str) -> Result<()> {
-        let mut guard = self.fault.lock();
-        if let Some(plan) = guard.as_mut() {
-            if plan.after_requests == 0 {
-                *guard = None;
-                return Err(PfsError::Injected { server: self.id, detail: detail.to_string() });
-            }
-            plan.after_requests -= 1;
-        }
-        Ok(())
-    }
-
-    /// Arm a one-shot fault: fail the request issued after `after_requests`
-    /// more successful requests.
-    pub fn inject_fault(&self, plan: FaultPlan) {
-        *self.fault.lock() = Some(plan);
     }
 
     /// Ensure the server has a stream for `name` (idempotent).
@@ -192,8 +164,8 @@ impl IoServer {
 
     /// Service one list read: the local run starting at `local_offset` is
     /// scattered into `bufs` in order. The request is charged, counted and
-    /// seek-checked once and takes the [`FaultPlan`] decision once; the
-    /// storage stream still sees one read per buffer.
+    /// seek-checked once; the storage stream still sees one read per
+    /// buffer.
     pub fn read_list(&self, name: &str, local_offset: u64, bufs: &mut [&mut [u8]]) -> Result<()> {
         let run = (local_offset, bufs.iter().map(|b| b.len() as u64).sum());
         let mut pos = local_offset;
@@ -219,7 +191,7 @@ impl IoServer {
 
     /// One storage operation `io` of the list request over the local run
     /// `run = (offset, len)`. The request's `first` piece also opens it:
-    /// the [`FaultPlan`] decision, the emulated latency and the accounting.
+    /// the emulated latency and the accounting.
     /// The file table is locked per piece, so other requests to this
     /// server can run between the pieces of a long list.
     pub(crate) fn serve_piece(
@@ -230,9 +202,6 @@ impl IoServer {
         is_write: bool,
         io: impl FnOnce(&dyn Storage) -> Result<()>,
     ) -> Result<()> {
-        if first {
-            self.check_fault(if is_write { "write" } else { "read" })?;
-        }
         self.with_entry(name, |entry| {
             if first {
                 if let Some(lat) = self.latency {
@@ -318,22 +287,6 @@ mod tests {
         // One seek check per request: the write seeks, the read (back at
         // offset 0) seeks again; no piece counts on its own.
         assert_eq!(st.seeks, 2);
-        // A fault plan counts and fails whole requests.
-        s.inject_fault(FaultPlan { after_requests: 0 });
-        assert!(s.read_list("f", 0, &mut [&mut a, &mut b]).is_err());
-        s.read_list("f", 0, &mut [&mut a, &mut b]).unwrap();
-    }
-
-    #[test]
-    fn fault_injection_fires_once() {
-        let s = server();
-        s.ensure_file("f").unwrap();
-        s.inject_fault(FaultPlan { after_requests: 1 });
-        s.write("f", 0, b"x").unwrap(); // 1 more allowed
-        let err = s.write("f", 1, b"y").unwrap_err();
-        assert!(matches!(err, PfsError::Injected { server: 0, .. }));
-        // One-shot: next request succeeds again.
-        s.write("f", 1, b"y").unwrap();
     }
 
     #[test]

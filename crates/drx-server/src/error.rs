@@ -82,15 +82,21 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
+/// The wire code of a core error: region, index and rank errors are
+/// `OutOfBounds`, everything else a `BadRequest`.
+fn code_of(e: &drx_core::DrxError) -> ErrorCode {
+    match e {
+        drx_core::DrxError::IndexOutOfBounds { .. }
+        | drx_core::DrxError::AddressOutOfBounds { .. }
+        | drx_core::DrxError::RankMismatch { .. }
+        | drx_core::DrxError::BadRank(_) => ErrorCode::OutOfBounds,
+        _ => ErrorCode::BadRequest,
+    }
+}
+
 impl From<drx_core::DrxError> for ServerError {
     fn from(e: drx_core::DrxError) -> Self {
-        let code = match &e {
-            drx_core::DrxError::IndexOutOfBounds { .. }
-            | drx_core::DrxError::AddressOutOfBounds { .. }
-            | drx_core::DrxError::RankMismatch { .. } => ErrorCode::OutOfBounds,
-            _ => ErrorCode::BadRequest,
-        };
-        ServerError::new(code, e.to_string())
+        ServerError::new(code_of(&e), e.to_string())
     }
 }
 
@@ -107,10 +113,12 @@ impl From<drx_pfs::PfsError> for ServerError {
 
 impl From<drx_mp::MpError> for ServerError {
     fn from(e: drx_mp::MpError) -> Self {
-        // A down stripe server keeps its typed code through the MpError
-        // wrapper so remote clients can distinguish degraded-mode misses
-        // from genuine storage corruption.
+        // Planner validation errors keep their region codes, and a down
+        // stripe server keeps its typed code through the MpError wrapper
+        // so remote clients can distinguish degraded-mode misses from
+        // genuine storage corruption.
         let code = match &e {
+            drx_mp::MpError::Core(core) => return ServerError::new(code_of(core), e.to_string()),
             drx_mp::MpError::Pfs(drx_pfs::PfsError::Unavailable { .. }) => ErrorCode::Unavailable,
             drx_mp::MpError::Pfs(drx_pfs::PfsError::NoSuchFile(_)) => ErrorCode::NoSuchArray,
             _ => ErrorCode::Internal,
@@ -126,3 +134,24 @@ impl From<std::io::Error> for ServerError {
 }
 
 pub type Result<T> = std::result::Result<T, ServerError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drx_core::DrxError;
+    use drx_mp::MpError;
+
+    #[test]
+    fn planner_errors_keep_their_region_codes() {
+        let oob = DrxError::IndexOutOfBounds { index: vec![8, 8], bounds: vec![6, 6] };
+        let rank = DrxError::RankMismatch { expected: 2, got: 1 };
+        for e in [MpError::Core(oob), MpError::Core(rank), MpError::Core(DrxError::BadRank(0))] {
+            assert_eq!(ServerError::from(e).code, ErrorCode::OutOfBounds);
+        }
+        let size = MpError::Core(DrxError::BufferSize { expected: 4, got: 3 });
+        assert_eq!(ServerError::from(size).code, ErrorCode::BadRequest);
+        let down = MpError::Pfs(drx_pfs::PfsError::Unavailable { server: 1 });
+        assert_eq!(ServerError::from(down).code, ErrorCode::Unavailable);
+        assert_eq!(ServerError::from(MpError::Invalid("x".into())).code, ErrorCode::Internal);
+    }
+}

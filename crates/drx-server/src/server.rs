@@ -87,7 +87,6 @@ struct Registered {
 // lock-order: ServerArrays -> PfsFiles
 // lock-order: ServerArrays -> PfsStats
 // lock-order: ServerArrays -> PfsBacking
-// lock-order: ServerArrays -> PfsFault
 // lock-order: ArrayMeta -> LockTable
 // lock-order: ArrayMeta -> CacheQueue
 // lock-order: ArrayMeta -> ChunkPool
@@ -95,14 +94,12 @@ struct Registered {
 // lock-order: ArrayMeta -> PfsFiles
 // lock-order: ArrayMeta -> PfsStats
 // lock-order: ArrayMeta -> PfsBacking
-// lock-order: ArrayMeta -> PfsFault
 // lock-order: LockTable -> CacheQueue
 // lock-order: CacheQueue -> ChunkPool
 // lock-order: ChunkPool -> PfsMeta
 // lock-order: ChunkPool -> PfsFiles
 // lock-order: ChunkPool -> PfsStats
 // lock-order: ChunkPool -> PfsBacking
-// lock-order: ChunkPool -> PfsFault
 struct Inner {
     pfs: Pfs,
     config: ServerConfig,
@@ -378,34 +375,23 @@ impl Server {
     }
 }
 
-/// Validate `[lo, hi)` against a metadata snapshot and build the region.
-fn checked_region(meta: &ArrayMeta, lo: &[u64], hi: &[u64]) -> Result<Region> {
-    let lo = to_usize_dims(lo)?;
-    let hi = to_usize_dims(hi)?;
-    if lo.len() != meta.rank() || hi.len() != meta.rank() {
-        return Err(ServerError::new(
-            ErrorCode::OutOfBounds,
-            format!("region rank {} does not match array rank {}", lo.len(), meta.rank()),
-        ));
-    }
-    let region = Region::new(lo, hi)?;
-    let bounds = meta.element_bounds();
-    for d in 0..meta.rank() {
-        if region.hi()[d] > bounds[d] {
-            return Err(ServerError::new(
-                ErrorCode::OutOfBounds,
-                format!("region upper corner {:?} exceeds bounds {:?}", region.hi(), bounds),
-            ));
-        }
-    }
+/// Build the region `[lo, hi)` from request fields and check it against a
+/// metadata snapshot with the one region validator,
+/// [`ArrayMeta::check_region`].
+fn request_region(meta: &ArrayMeta, lo: &[u64], hi: &[u64]) -> Result<Region> {
+    let region = Region::new(to_usize_dims(lo)?, to_usize_dims(hi)?)?;
+    meta.check_region(&region)?;
     Ok(region)
 }
 
-/// The planned chunks of a non-empty `region`, with their addresses and
-/// element boxes (allocated extent, slack included), in address order.
-fn plan(meta: &ArrayMeta, region: &Region) -> Result<(Vec<u64>, Vec<Region>)> {
+/// The planned chunks of `region`, in address order: their addresses, and
+/// each chunk's box with its intersection with `region`.
+type Planned = (Vec<u64>, Vec<(Region, Option<Region>)>);
+
+fn plan(meta: &ArrayMeta, region: &Region) -> Result<Planned> {
     let plan = ChunkPlan::for_region(meta, region)?;
-    Ok((plan.addrs().collect(), plan.chunk_regions(meta.chunking())?))
+    let boxes = plan.boxes(0..plan.len(), meta.chunking(), region);
+    Ok((plan.addrs().collect(), boxes.collect::<drx_mp::Result<_>>()?))
 }
 
 /// Read `[lo, hi)` as row-major element bytes into `out[at..]`, growing
@@ -425,7 +411,7 @@ fn read_region(
     // append-only extension keeps every address in the snapshot valid
     // afterwards.
     let meta = Arc::clone(&array.meta.read());
-    let region = checked_region(&meta, lo, hi)?;
+    let region = request_region(&meta, lo, hi)?;
     let esize = meta.dtype().size();
     let len = usize::try_from(region.volume()).ok().and_then(|v| v.checked_mul(esize));
     let Some(len) = len.filter(|&n| n.checked_add(at).is_some_and(|end| end <= limit)) else {
@@ -445,15 +431,15 @@ fn read_region(
 
     let _guard = array.locks.acquire(&addrs, LockMode::Read);
     array.cache.read_frames(session, &addrs, |i, frame| {
-        let Some(valid) = boxes[i].intersect(&region) else { return };
+        let (chunk_box, Some(valid)) = &boxes[i] else { return };
         copy_rows(
             frame,
-            boxes[i].lo(),
+            chunk_box.lo(),
             chunk_strides,
             dst,
             region.lo(),
             &dst_strides,
-            &valid,
+            valid,
             esize,
         );
     })?;
@@ -468,7 +454,7 @@ fn write_region(
     data: &[u8],
 ) -> Result<()> {
     let meta = Arc::clone(&array.meta.read());
-    let region = checked_region(&meta, lo, hi)?;
+    let region = request_region(&meta, lo, hi)?;
     let esize = meta.dtype().size();
     let expected = region.volume() as usize * esize;
     if data.len() != expected {
@@ -485,21 +471,21 @@ fn write_region(
     // *entire* allocated extent — including slack beyond the current
     // element bounds, which must be preserved for future extends. The
     // others are read-modify-written.
-    let full: Vec<bool> = boxes.iter().map(|b| b.intersect(&region).as_ref() == Some(b)).collect();
+    let full: Vec<bool> = boxes.iter().map(|(b, valid)| valid.as_ref() == Some(b)).collect();
     let src_strides = index::row_major_strides(&region.extents());
     let chunk_strides = meta.chunking().strides();
 
     let _guard = array.locks.acquire(&addrs, LockMode::Write);
     array.cache.write_frames(session, &addrs, &full, |i, frame| {
-        let Some(valid) = boxes[i].intersect(&region) else { return };
+        let (chunk_box, Some(valid)) = &boxes[i] else { return };
         copy_rows(
             data,
             region.lo(),
             &src_strides,
             frame,
-            boxes[i].lo(),
+            chunk_box.lo(),
             chunk_strides,
-            &valid,
+            valid,
             esize,
         );
     })

@@ -236,3 +236,56 @@ fn oversized_read_is_refused_before_any_work() {
     drop(c);
     serving.shutdown().unwrap();
 }
+
+/// Every out-of-bounds or wrong-rank region request is refused with
+/// `OutOfBounds`, before the payload length or the frame cap is looked at.
+/// With `writes` false only reads are sent (a write payload may not fit a
+/// small frame cap on the way out).
+fn region_errors_are_out_of_bounds<T: Transport>(c: &mut Conn<T>, writes: bool) {
+    // 6×6 elements in 4×4 chunks: rows and columns 6..8 are edge-chunk
+    // slack, 8.. lies past the chunk grid.
+    let (h, _) = c.open("oob").unwrap();
+    let bad: [(&[u64], &[u64]); 6] = [
+        (&[0, 0], &[8, 8]),
+        (&[0, 0], &[9, 9]),
+        (&[5, 0], &[6, 7]),
+        (&[0], &[2]),
+        (&[0, 0, 0], &[1, 1, 1]),
+        (&[], &[]),
+    ];
+    for (lo, hi) in bad {
+        let err = c.read_region(h, lo, hi).unwrap_err();
+        assert_eq!(err.code, ErrorCode::OutOfBounds, "read [{lo:?}, {hi:?}): {err}");
+        if !writes {
+            continue;
+        }
+        let volume: u64 = lo.iter().zip(hi).map(|(&l, &h)| h - l).product();
+        let data = vec![0u8; volume as usize * 8];
+        let err = c.write_region(h, lo, hi, &data).unwrap_err();
+        assert_eq!(err.code, ErrorCode::OutOfBounds, "write [{lo:?}, {hi:?}): {err}");
+        // A payload of the wrong length does not mask the region error.
+        let err = c.write_region(h, lo, hi, &[0u8; 8]).unwrap_err();
+        assert_eq!(err.code, ErrorCode::OutOfBounds, "short write [{lo:?}, {hi:?}): {err}");
+    }
+    // The session is intact and the array untouched.
+    assert_eq!(c.read_region_as::<f64>(h, &[5, 5], &[6, 6]).unwrap(), vec![35.0]);
+    c.close(h).unwrap();
+}
+
+#[test]
+fn out_of_bounds_and_wrong_rank_regions_are_refused_typed() {
+    let pfs = Pfs::memory(2, 256).unwrap();
+    let mut file: DrxFile<f64> = DrxFile::create(&pfs, "oob", &[4, 4], &[6, 6]).unwrap();
+    file.fill_with(|i| (i[0] * 6 + i[1]) as f64).unwrap();
+    drop(file);
+    let server = Server::new(pfs, ServerConfig::default());
+    region_errors_are_out_of_bounds(&mut Client::connect(&server), true);
+    let config = ServeConfig { threads: 1, ..ServeConfig::default() };
+    let serving = serve_with(&server, "127.0.0.1:0", config).unwrap();
+    region_errors_are_out_of_bounds(&mut TcpClient::connect(serving.addr()).unwrap(), true);
+    // A frame cap below the largest bad read: the bounds check comes first.
+    let mut c = TcpClient::connect_with_max_frame(serving.addr(), 256).unwrap();
+    region_errors_are_out_of_bounds(&mut c, false);
+    drop(c);
+    serving.shutdown().unwrap();
+}

@@ -2,56 +2,78 @@
 //! server faults must surface as typed errors (not panics or silent
 //! corruption), and damaged metadata must be rejected at open.
 
-use drx::parallel::{to_msg, DistSpec, DrxmpHandle};
+use drx::fault::Injector;
+use drx::parallel::{to_msg, DistSpec, DrxmpHandle, MpError};
 use drx::serial::DrxFile;
-use drx::{run_spmd, Layout, Pfs, Region};
+use drx::{run_spmd, Layout, Pfs, PfsConfig, PfsError, Region};
+use std::sync::Arc;
 
 fn seeded(pfs: &Pfs) {
     let mut f: DrxFile<i64> = DrxFile::create(pfs, "arr", &[2, 2], &[8, 8]).unwrap();
     f.fill_with(|i| (i[0] * 8 + i[1]) as i64).unwrap();
 }
 
+/// A 2-server, 64-byte-stripe file system whose stripe servers the
+/// returned injector can take down and bring back (`set_down`).
+fn faulty_pfs() -> (Pfs, Arc<Injector>) {
+    let inj = Arc::new(Injector::inert());
+    let config = PfsConfig {
+        n_servers: 2,
+        stripe_size: 64,
+        injector: Some(Arc::clone(&inj)),
+        ..PfsConfig::default()
+    };
+    (Pfs::new(config).unwrap(), inj)
+}
+
 #[test]
 fn injected_server_fault_surfaces_through_serial_reads() {
-    let pfs = Pfs::memory(2, 64).unwrap();
+    let (pfs, inj) = faulty_pfs();
     seeded(&pfs);
     let f: DrxFile<i64> = DrxFile::open(&pfs, "arr").unwrap();
-    // Arm a fault on server 0: the next request fails once.
-    pfs.inject_fault(0, 0).unwrap();
+    // Take server 0 down: the read fails with a typed error.
+    inj.set_down(0, true);
     let region = Region::new(vec![0, 0], vec![8, 8]).unwrap();
     let err = f.read_region(&region, Layout::C).unwrap_err();
-    assert!(err.to_string().contains("injected fault"), "got: {err}");
-    // After the one-shot fault, the same read succeeds and is correct.
+    assert!(matches!(err, MpError::Pfs(PfsError::Unavailable { server: 0 })), "got: {err}");
+    // Once the server is back, the same read succeeds and is correct.
+    inj.set_down(0, false);
     let data = f.read_region(&region, Layout::C).unwrap();
     assert_eq!(data[63], 63);
 }
 
 #[test]
 fn injected_fault_poisons_a_parallel_collective_cleanly() {
-    let pfs = Pfs::memory(2, 64).unwrap();
+    let (pfs, inj) = faulty_pfs();
     seeded(&pfs);
-    pfs.inject_fault(1, 2).unwrap();
-    let fs = pfs.clone();
-    let result = run_spmd(2, move |comm| {
-        let mut h: DrxmpHandle<i64> =
-            DrxmpHandle::open(comm, &fs, "arr", DistSpec::block(vec![2, 1])).map_err(to_msg)?;
-        // Some rank's aggregated read will hit the fault; both ranks must
-        // come back with an error (either the fault or the poison), never a
-        // deadlock or a panic.
-        match h.read_my_zone(Layout::C) {
-            Ok(_) => Ok(true),
-            Err(e) => {
-                let s = e.to_string();
-                assert!(
-                    s.contains("injected fault") || s.contains("poisoned"),
-                    "unexpected error: {s}"
-                );
-                Err(to_msg(e))
+    inj.set_down(1, true);
+    let zone_read = |fs: Pfs| {
+        run_spmd(2, move |comm| {
+            let mut h: DrxmpHandle<i64> =
+                DrxmpHandle::open(comm, &fs, "arr", DistSpec::block(vec![2, 1])).map_err(to_msg)?;
+            // Some rank's aggregated read will hit the down server; both
+            // ranks must come back with an error (the fault, the peer's
+            // failure or the poison), never a deadlock or a panic.
+            match h.read_my_zone(Layout::C) {
+                Ok(_) => Ok(true),
+                Err(e) => {
+                    let s = e.to_string();
+                    assert!(
+                        s.contains("unavailable")
+                            || s.contains("collective failed")
+                            || s.contains("poisoned"),
+                        "unexpected error: {s}"
+                    );
+                    Err(to_msg(e))
+                }
             }
-        }
-    });
+        })
+    };
     // The run as a whole reports the failure.
-    assert!(result.is_err(), "fault must propagate out of run_spmd");
+    assert!(zone_read(pfs.clone()).is_err(), "fault must propagate out of run_spmd");
+    // Once the server is back, the same collective read succeeds.
+    inj.set_down(1, false);
+    assert!(zone_read(pfs).is_ok());
 }
 
 #[test]
