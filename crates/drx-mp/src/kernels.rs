@@ -22,7 +22,9 @@
 //!   transposes-to-self and non-viewable targets (big-endian hosts).
 //!
 //! Global counters record which kernel served each call so benches and the
-//! CI smoke stage can assert the fast path is actually taken.
+//! CI smoke stage can assert the fast path is actually taken. Unit tests
+//! read a per-thread mirror instead, so kernels run by concurrent tests do
+//! not perturb their exact deltas.
 
 use drx_core::index::{for_each_offset_pair, for_each_row_pair};
 use drx_core::{Element, Region};
@@ -65,6 +67,50 @@ impl KernelStats {
             generic_elems: self.generic_elems - earlier.generic_elems,
         }
     }
+}
+
+/// Add one call's kernel work to the process-wide counters.
+fn record(d: KernelStats) {
+    for (counter, n) in [
+        (&MEMCPY_CALLS, d.memcpy_calls),
+        (&MEMCPY_ROWS, d.memcpy_rows),
+        (&MEMCPY_BYTES, d.memcpy_bytes),
+        (&TILED_ELEMS, d.tiled_elems),
+        (&GENERIC_ELEMS, d.generic_elems),
+    ] {
+        if n != 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+    #[cfg(test)]
+    THREAD_STATS.with(|t| {
+        let s = t.get();
+        t.set(KernelStats {
+            memcpy_calls: s.memcpy_calls + d.memcpy_calls,
+            memcpy_rows: s.memcpy_rows + d.memcpy_rows,
+            memcpy_bytes: s.memcpy_bytes + d.memcpy_bytes,
+            tiled_elems: s.tiled_elems + d.tiled_elems,
+            generic_elems: s.generic_elems + d.generic_elems,
+        })
+    });
+}
+
+#[cfg(test)]
+thread_local! {
+    static THREAD_STATS: std::cell::Cell<KernelStats> =
+        const { std::cell::Cell::new(KernelStats {
+            memcpy_calls: 0,
+            memcpy_rows: 0,
+            memcpy_bytes: 0,
+            tiled_elems: 0,
+            generic_elems: 0,
+        }) };
+}
+
+/// Snapshot of the kernel work done on the calling thread (test builds).
+#[cfg(test)]
+fn thread_kernel_stats() -> KernelStats {
+    THREAD_STATS.with(|t| t.get())
 }
 
 /// Snapshot of the process-wide kernel counters.
@@ -194,9 +240,12 @@ pub fn copy_rows(
         rows += 1;
         bytes += nb as u64;
     });
-    MEMCPY_CALLS.fetch_add(1, Ordering::Relaxed);
-    MEMCPY_ROWS.fetch_add(rows, Ordering::Relaxed);
-    MEMCPY_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    record(KernelStats {
+        memcpy_calls: 1,
+        memcpy_rows: rows,
+        memcpy_bytes: bytes,
+        ..Default::default()
+    });
 }
 
 /// Scatter the elements of `valid` from a chunk byte image into a dense
@@ -260,7 +309,7 @@ pub fn scatter_chunk<T: Element>(
                 }
             },
         );
-        TILED_ELEMS.fetch_add(moved, Ordering::Relaxed);
+        record(KernelStats { tiled_elems: moved, ..Default::default() });
         return;
     }
     let mut n = 0u64;
@@ -269,7 +318,7 @@ pub fn scatter_chunk<T: Element>(
         out[dst as usize] = T::read_le(&chunk[sb..sb + T::SIZE]);
         n += 1;
     });
-    GENERIC_ELEMS.fetch_add(n, Ordering::Relaxed);
+    record(KernelStats { generic_elems: n, ..Default::default() });
 }
 
 /// Gather the elements of `valid` from a dense element buffer into a chunk
@@ -319,7 +368,7 @@ pub fn gather_chunk<T: Element>(
                 moved += n as u64;
             },
         );
-        TILED_ELEMS.fetch_add(moved, Ordering::Relaxed);
+        record(KernelStats { tiled_elems: moved, ..Default::default() });
         return;
     }
     let mut n = 0u64;
@@ -330,7 +379,7 @@ pub fn gather_chunk<T: Element>(
         chunk[db..db + T::SIZE].copy_from_slice(&tmp);
         n += 1;
     });
-    GENERIC_ELEMS.fetch_add(n, Ordering::Relaxed);
+    record(KernelStats { generic_elems: n, ..Default::default() });
 }
 
 #[cfg(test)]
@@ -495,8 +544,8 @@ mod tests {
     fn transposes_into_large_power_of_two_fortran_buffers_match_reference() {
         // A 4096-row FORTRAN buffer: consecutive columns sit 32 KiB apart,
         // so a chunk-ordered walk would hit one L1 set per tile line. Chunks
-        // cover aligned, boundary-clipped and unaligned positions. That
-        // they take the transpose kernel is checked in tests/kernel_stats.rs.
+        // cover aligned, boundary-clipped and unaligned positions.
+        let before = thread_kernel_stats();
         let region = Region::new(vec![0, 0], vec![4096, 130]).unwrap();
         let cases: [([usize; 2], [usize; 2]); 8] = [
             ([64, 64], [0, 0]),
@@ -521,6 +570,8 @@ mod tests {
                 });
             }
         }
+        let d = thread_kernel_stats().delta_since(&before);
+        assert!(d.tiled_elems > 0, "FORTRAN scatters must take the transpose path: {d:?}");
     }
 
     #[test]
@@ -539,5 +590,30 @@ mod tests {
         let r = &mut reference;
         scatter_reference(&bytes, &[0, 0], &chunk_strides, r, &[0, 0], &out_strides, &valid);
         assert_eq!(fast, reference);
+    }
+
+    #[test]
+    fn memcpy_fast_path_is_taken_for_same_order_copies() {
+        let before = thread_kernel_stats();
+        let region = Region::new(vec![0, 0], vec![8, 8]).unwrap();
+        check_case::<i64>(&[4, 8], &[0, 0], &region, Layout::C, |v| v as i64);
+        let d = thread_kernel_stats().delta_since(&before);
+        assert!(d.memcpy_calls > 0, "C-order copy must use the memcpy kernel: {d:?}");
+        assert!(d.memcpy_bytes > 0);
+    }
+
+    #[test]
+    fn tiled_path_is_taken_for_transposes() {
+        let before = thread_kernel_stats();
+        let region = Region::new(vec![0, 0], vec![40, 40]).unwrap();
+        let chunk_strides = row_major(&[40, 40]);
+        let out_strides = Layout::Fortran.strides(&[40, 40]);
+        let vals: Vec<i64> = (0..1600).collect();
+        let bytes = drx_core::dtype::encode_slice(&vals);
+        let mut out = vec![0i64; 1600];
+        scatter_chunk(&bytes, &[0, 0], &chunk_strides, &mut out, &[0, 0], &out_strides, &region);
+        let d = thread_kernel_stats().delta_since(&before);
+        assert_eq!(d.tiled_elems, 1600, "transpose must use the tiled kernel: {d:?}");
+        assert_eq!(d.memcpy_calls, 0);
     }
 }
