@@ -6,6 +6,7 @@ use drx::fault::Injector;
 use drx::parallel::{to_msg, DistSpec, DrxmpHandle, MpError};
 use drx::serial::DrxFile;
 use drx::{run_spmd, Layout, Pfs, PfsConfig, PfsError, Region};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn seeded(pfs: &Pfs) {
@@ -46,11 +47,21 @@ fn injected_server_fault_surfaces_through_serial_reads() {
 fn injected_fault_poisons_a_parallel_collective_cleanly() {
     let (pfs, inj) = faulty_pfs();
     seeded(&pfs);
-    inj.set_down(1, true);
-    let zone_read = |fs: Pfs| {
+    // Ranks that got past `open` and into the collective read.
+    let reached = AtomicUsize::new(0);
+    let zone_read = |fault: bool| {
+        let (fs, inj, reached) = (pfs.clone(), &inj, &reached);
         run_spmd(2, move |comm| {
+            // Open with every server up, so the fault fires inside the
+            // two-phase collective read, not in the metadata read.
             let mut h: DrxmpHandle<i64> =
                 DrxmpHandle::open(comm, &fs, "arr", DistSpec::block(vec![2, 1])).map_err(to_msg)?;
+            comm.barrier()?;
+            if fault && comm.rank() == 0 {
+                inj.set_down(1, true);
+            }
+            comm.barrier()?;
+            reached.fetch_add(1, Ordering::SeqCst);
             // Some rank's aggregated read will hit the down server; both
             // ranks must come back with an error (the fault, the peer's
             // failure or the poison), never a deadlock or a panic.
@@ -69,11 +80,14 @@ fn injected_fault_poisons_a_parallel_collective_cleanly() {
             }
         })
     };
-    // The run as a whole reports the failure.
-    assert!(zone_read(pfs.clone()).is_err(), "fault must propagate out of run_spmd");
+    // The run as a whole reports the failure, and both ranks reached the
+    // collective read before it failed.
+    assert!(zone_read(true).is_err(), "fault must propagate out of run_spmd");
+    assert_eq!(reached.swap(0, Ordering::SeqCst), 2, "the fault must fire in read_my_zone");
     // Once the server is back, the same collective read succeeds.
     inj.set_down(1, false);
-    assert!(zone_read(pfs).is_ok());
+    assert!(zone_read(false).is_ok());
+    assert_eq!(reached.load(Ordering::SeqCst), 2);
 }
 
 #[test]
