@@ -9,7 +9,7 @@
 //! payload.
 
 use crate::error::{MpError, Result};
-use crate::serial::{XMD_SUFFIX, XTA_SUFFIX};
+use crate::store::ArrayStore;
 use crate::zones::DistSpec;
 use drx_core::{ArrayMeta, Element, Region};
 use drx_msg::{Comm, MsgFile};
@@ -19,9 +19,10 @@ use drx_pfs::Pfs;
 /// the `DRXMDHdl` of the paper's C API.
 pub struct DrxmpHandle<T: Element> {
     pub(crate) comm: Comm,
-    pub(crate) pfs: Pfs,
-    pub(crate) base: String,
     pub(crate) meta: ArrayMeta,
+    /// The file pair; only rank 0 commits metadata through it.
+    pub(crate) store: ArrayStore,
+    /// The payload bound to `comm`, for view-based collective I/O.
     pub(crate) xta: MsgFile,
     pub(crate) dist: DistSpec,
     pub(crate) _marker: std::marker::PhantomData<T>,
@@ -29,7 +30,7 @@ pub struct DrxmpHandle<T: Element> {
 
 impl<T: Element> DrxmpHandle<T> {
     /// Collective create (`DRXMP_Init`): every rank passes identical
-    /// parameters; rank 0 materializes the file pair.
+    /// parameters; rank 0 materializes and commits the file pair.
     pub fn create(
         comm: &Comm,
         pfs: &Pfs,
@@ -40,57 +41,46 @@ impl<T: Element> DrxmpHandle<T> {
     ) -> Result<Self> {
         let meta = ArrayMeta::new(T::DTYPE, chunk_shape, initial_bounds)?;
         dist.validate(meta.rank(), comm.size())?;
-        if comm.rank() == 0 {
-            let xmd = pfs.create(&format!("{base}{XMD_SUFFIX}"))?;
-            xmd.write_at(0, &meta.encode())?;
-            let xta = pfs.create(&format!("{base}{XTA_SUFFIX}"))?;
-            xta.set_len(meta.payload_bytes())?;
-        }
+        let created = match comm.rank() {
+            0 => Some(ArrayStore::create(pfs, base, &meta)?),
+            _ => None,
+        };
         comm.barrier()?;
-        let xta = MsgFile::open(comm, pfs, &format!("{base}{XTA_SUFFIX}"), false)?;
-        Ok(DrxmpHandle {
-            comm: comm.clone(),
-            pfs: pfs.clone(),
-            base: base.to_string(),
-            meta,
-            xta,
-            dist,
-            _marker: std::marker::PhantomData,
-        })
+        let store = match created {
+            Some(store) => store,
+            None => ArrayStore::attach(pfs, base)?,
+        };
+        Ok(Self::new(comm, meta, store, dist))
     }
 
-    /// Collective open (`DRXMP_Open`): rank 0 reads the metadata file and
-    /// broadcasts it; every rank decodes its own replica.
+    /// Collective open (`DRXMP_Open`): every rank decodes its own replica
+    /// of the metadata file.
     pub fn open(comm: &Comm, pfs: &Pfs, base: &str, dist: DistSpec) -> Result<Self> {
-        let bytes = if comm.rank() == 0 {
-            let xmd = pfs.open(&format!("{base}{XMD_SUFFIX}"))?;
-            let b = xmd.read_vec(0, xmd.len() as usize)?;
-            comm.bcast_bytes(0, Some(b))?
-        } else {
-            comm.bcast_bytes(0, None)?
-        };
-        let meta = ArrayMeta::decode(&bytes)?;
+        let (store, meta) = ArrayStore::open(pfs, base)?;
         if meta.dtype() != T::DTYPE {
             // Collective consistency: every rank fails identically.
             return Err(MpError::DTypeMismatch { file: meta.dtype(), requested: T::DTYPE });
         }
         dist.validate(meta.rank(), comm.size())?;
-        let xta = MsgFile::open(comm, pfs, &format!("{base}{XTA_SUFFIX}"), false)?;
-        Ok(DrxmpHandle {
+        comm.barrier()?;
+        Ok(Self::new(comm, meta, store, dist))
+    }
+
+    fn new(comm: &Comm, meta: ArrayMeta, store: ArrayStore, dist: DistSpec) -> Self {
+        let xta = MsgFile::new(comm, store.payload().clone());
+        DrxmpHandle {
             comm: comm.clone(),
-            pfs: pfs.clone(),
-            base: base.to_string(),
             meta,
+            store,
             xta,
             dist,
             _marker: std::marker::PhantomData,
-        })
+        }
     }
 
-    /// Collective close (`DRXMP_Close`): persists metadata from rank 0 and
-    /// synchronizes.
+    /// Collective close (`DRXMP_Close`): synchronizes. The metadata is
+    /// already durable: `create` and `extend` commit it.
     pub fn close(self) -> Result<()> {
-        self.sync_meta()?;
         self.comm.barrier()?;
         Ok(())
     }
@@ -120,30 +110,21 @@ impl<T: Element> DrxmpHandle<T> {
         &self.dist
     }
 
-    /// Persist the metadata replica of rank 0 (non-collective; use `close`
-    /// or `extend` for the collective forms).
+    /// Commit rank 0's metadata replica through [`ArrayStore::commit`]
+    /// (non-collective; `create` and `extend` already do).
     pub fn sync_meta(&self) -> Result<()> {
         if self.comm.rank() == 0 {
-            let name = format!("{}{XMD_SUFFIX}", self.base);
-            let xmd = self.pfs.open(&name)?;
-            let bytes = self.meta.encode();
-            xmd.write_at(0, &bytes)?;
-            xmd.set_len(bytes.len() as u64)?;
+            self.store.commit(&self.meta)?;
         }
         Ok(())
     }
 
     /// Collective extension of dimension `dim` by `by` elements
     /// (paper §IV-B). Every rank updates its metadata replica
-    /// deterministically; the payload grows by appended (logically zeroed)
-    /// chunks; no existing chunk moves.
+    /// deterministically; rank 0 commits it, growing the payload by
+    /// appended (logically zeroed) chunks; no existing chunk moves.
     pub fn extend(&mut self, dim: usize, by: usize) -> Result<()> {
-        let outcome = self.meta.extend(dim, by)?;
-        if outcome.new_chunk_count > 0 {
-            self.xta.set_size(self.meta.payload_bytes())?; // collective
-        } else {
-            self.comm.barrier()?;
-        }
+        self.meta.extend(dim, by)?;
         self.sync_meta()?;
         self.comm.barrier()?;
         Ok(())

@@ -10,6 +10,8 @@
 //!
 //! * [`DrxFile`] — the serial DRX library (one process, `.xmd` + `.xta`
 //!   file pair).
+//! * [`ArrayStore`] — that file pair and its metadata commit point, shared
+//!   by every surface.
 //! * [`DrxmpHandle`] — the parallel DRX-MP handle: collective
 //!   create/open/close/extend, zone queries, `read_region[_all]`,
 //!   `write_region[_all]`, zone reads/writes.
@@ -31,6 +33,7 @@ pub mod kernels;
 pub mod mpool;
 pub mod read;
 pub mod serial;
+pub mod store;
 pub mod write;
 pub mod zones;
 
@@ -44,5 +47,6 @@ pub use handle::DrxmpHandle;
 pub use kernels::{copy_rows, gather_chunk, kernel_stats, scatter_chunk, KernelStats};
 pub use mpool::{CachedDrxFile, ChunkPool, PoolStats, PrefetchOutcome};
 pub use read::ChunkPlan;
-pub use serial::{DrxFile, XMD_SUFFIX, XTA_SUFFIX};
+pub use serial::DrxFile;
+pub use store::{ArrayStore, XMD_SUFFIX, XTA_SUFFIX};
 pub use zones::DistSpec;

@@ -439,10 +439,10 @@ impl<T: Element> CachedDrxFile<T> {
         Ok(out)
     }
 
-    /// Write back all dirty chunks and sync metadata.
+    /// Write back all dirty chunks. The metadata needs no write: `extend`
+    /// commits it.
     pub fn flush(&mut self) -> Result<()> {
-        self.pool.flush()?;
-        self.inner.sync_meta()
+        self.pool.flush()
     }
 
     /// Flush and unwrap the underlying file.

@@ -415,16 +415,7 @@ impl<T: Element> DrxmpHandle<T> {
     /// Read a single element directly from the file (independent; the
     /// paper's "accessed either directly from the file or via a remote
     /// memory access").
-    pub fn get(&mut self, index: &[usize]) -> Result<T> {
-        let off = self.meta.element_byte_offset(index)?;
-        // Largest built-in element is Complex64 at 16 bytes: a stack
-        // buffer avoids a heap allocation per element access.
-        let mut buf = [0u8; 16];
-        debug_assert!(T::SIZE <= buf.len());
-        if self.xta.has_view() {
-            self.xta.set_view(0, None);
-        }
-        self.xta.read_at(off, &mut buf[..T::SIZE])?;
-        Ok(T::read_le(&buf[..T::SIZE]))
+    pub fn get(&self, index: &[usize]) -> Result<T> {
+        self.store.get(self.meta.element_byte_offset(index)?)
     }
 }

@@ -10,12 +10,9 @@
 
 use crate::error::{MpError, Result};
 use crate::read::ChunkPlan;
+use crate::store::ArrayStore;
 use drx_core::{dtype, ArrayMeta, Element, InitialLayout, Layout, Region};
 use drx_pfs::{Pfs, PfsFile};
-
-/// File-name suffixes used by the storage scheme (paper §IV).
-pub const XMD_SUFFIX: &str = ".xmd";
-pub const XTA_SUFFIX: &str = ".xta";
 
 /// A disk-resident extendible array accessed from a single process.
 ///
@@ -33,10 +30,8 @@ pub const XTA_SUFFIX: &str = ".xta";
 /// assert_eq!(a.read_region(&region, Layout::Fortran).unwrap().len(), 8);
 /// ```
 pub struct DrxFile<T: Element> {
-    pfs: Pfs,
-    base: String,
     meta: ArrayMeta,
-    xta: PfsFile,
+    store: ArrayStore,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -63,47 +58,28 @@ impl<T: Element> DrxFile<T> {
         layout: InitialLayout,
     ) -> Result<Self> {
         let meta = ArrayMeta::new_with_layout(T::DTYPE, chunk_shape, initial_bounds, layout)?;
-        let xmd = pfs.create(&format!("{base}{XMD_SUFFIX}"))?;
-        xmd.write_at(0, &meta.encode())?;
-        let xta = pfs.create(&format!("{base}{XTA_SUFFIX}"))?;
-        xta.set_len(meta.payload_bytes())?;
-        Ok(DrxFile {
-            pfs: pfs.clone(),
-            base: base.to_string(),
-            meta,
-            xta,
-            _marker: std::marker::PhantomData,
-        })
+        let store = ArrayStore::create(pfs, base, &meta)?;
+        Self::from_store((store, meta))
     }
 
     /// Open an existing array file pair; the stored element type must match
     /// `T`.
     pub fn open(pfs: &Pfs, base: &str) -> Result<Self> {
-        let xmd = pfs.open(&format!("{base}{XMD_SUFFIX}"))?;
-        let bytes = xmd.read_vec(0, xmd.len() as usize)?;
-        let meta = ArrayMeta::decode(&bytes)?;
+        Self::from_store(ArrayStore::open(pfs, base)?)
+    }
+
+    /// Wrap an opened or adopted store and its decoded metadata; the stored
+    /// element type must match `T`.
+    pub fn from_store((store, meta): (ArrayStore, ArrayMeta)) -> Result<Self> {
         if meta.dtype() != T::DTYPE {
             return Err(MpError::DTypeMismatch { file: meta.dtype(), requested: T::DTYPE });
         }
-        let xta = pfs.open(&format!("{base}{XTA_SUFFIX}"))?;
-        Ok(DrxFile {
-            pfs: pfs.clone(),
-            base: base.to_string(),
-            meta,
-            xta,
-            _marker: std::marker::PhantomData,
-        })
+        Ok(DrxFile { meta, store, _marker: std::marker::PhantomData })
     }
 
     /// Delete both files of an array.
     pub fn delete(pfs: &Pfs, base: &str) -> Result<()> {
-        pfs.delete(&format!("{base}{XMD_SUFFIX}"))?;
-        pfs.delete(&format!("{base}{XTA_SUFFIX}"))?;
-        Ok(())
-    }
-
-    pub fn base_name(&self) -> &str {
-        &self.base
+        ArrayStore::delete(pfs, base)
     }
 
     pub fn meta(&self) -> &ArrayMeta {
@@ -112,7 +88,7 @@ impl<T: Element> DrxFile<T> {
 
     /// The raw `.xta` payload file handle (used by the Mpool cache layer).
     pub fn payload_file(&self) -> &PfsFile {
-        &self.xta
+        self.store.payload()
     }
 
     /// Instantaneous element bounds.
@@ -120,46 +96,29 @@ impl<T: Element> DrxFile<T> {
         self.meta.element_bounds()
     }
 
-    /// Persist the metadata (called automatically by [`DrxFile::extend`]).
-    /// The `.xmd` image is fsynced: extend-commit is the durability point
-    /// after which the new bounds — and every chunk address they imply —
-    /// must survive a crash, or payload written into the extended region
-    /// would be unaddressable on reopen.
+    /// Commit the metadata through [`ArrayStore::commit`]. `create` and
+    /// [`DrxFile::extend`] already do, so the `.xmd` on disk never lags the
+    /// handle.
     pub fn sync_meta(&self) -> Result<()> {
-        let name = format!("{}{XMD_SUFFIX}", self.base);
-        let xmd = self.pfs.open(&name)?;
-        let bytes = self.meta.encode();
-        xmd.write_at(0, &bytes)?;
-        xmd.set_len(bytes.len() as u64)?;
-        xmd.sync()?;
-        Ok(())
+        self.store.commit(&self.meta)
     }
 
     /// Extend dimension `dim` by `by` elements: appends zeroed chunks to the
-    /// payload (no reorganization — the defining property) and rewrites the
-    /// metadata file.
+    /// payload (no reorganization — the defining property) and commits the
+    /// metadata.
     pub fn extend(&mut self, dim: usize, by: usize) -> Result<()> {
-        let outcome = self.meta.extend(dim, by)?;
-        if outcome.new_chunk_count > 0 {
-            self.xta.set_len(self.meta.payload_bytes())?;
-        }
+        self.meta.extend(dim, by)?;
         self.sync_meta()
     }
 
     /// Read one element.
     pub fn get(&self, index: &[usize]) -> Result<T> {
-        let off = self.meta.element_byte_offset(index)?;
-        let bytes = self.xta.read_vec(off, T::SIZE)?;
-        Ok(T::read_le(&bytes))
+        self.store.get(self.meta.element_byte_offset(index)?)
     }
 
     /// Write one element.
     pub fn set(&mut self, index: &[usize], value: T) -> Result<()> {
-        let off = self.meta.element_byte_offset(index)?;
-        let mut buf = Vec::with_capacity(T::SIZE);
-        value.write_le(&mut buf);
-        self.xta.write_at(off, &buf)?;
-        Ok(())
+        self.store.set(self.meta.element_byte_offset(index)?, value)
     }
 
     /// Read a rectilinear element region into a dense buffer with the
@@ -169,7 +128,7 @@ impl<T: Element> DrxFile<T> {
     /// the on-the-fly transposition of §II-A.
     pub fn read_region(&self, region: &Region, layout: Layout) -> Result<Vec<T>> {
         let plan = ChunkPlan::for_region(&self.meta, region)?;
-        plan.read_windowed(&self.xta, self.meta.chunking(), region, layout)
+        plan.read_windowed(self.store.payload(), self.meta.chunking(), region, layout)
     }
 
     /// Write a dense buffer (in the given layout) into an element region,
@@ -177,7 +136,7 @@ impl<T: Element> DrxFile<T> {
     /// read-modified-written; fully covered chunks are written directly.
     pub fn write_region(&mut self, region: &Region, layout: Layout, data: &[T]) -> Result<()> {
         let plan = ChunkPlan::for_region(&self.meta, region)?;
-        plan.write_windowed(&self.xta, self.meta.chunking(), region, layout, data)
+        plan.write_windowed(self.store.payload(), self.meta.chunking(), region, layout, data)
     }
 
     /// Read the whole valid array as a dense buffer.
@@ -203,7 +162,7 @@ impl<T: Element> DrxFile<T> {
     /// baselines comparisons).
     pub fn read_chunk_raw(&self, addr: u64) -> Result<Vec<T>> {
         let cb = self.meta.chunk_bytes();
-        let bytes = self.xta.read_vec(addr * cb, cb as usize)?;
+        let bytes = self.store.payload().read_vec(addr * cb, cb as usize)?;
         Ok(dtype::decode_slice(&bytes)?)
     }
 }

@@ -187,19 +187,7 @@ impl<T: Element> DrxmpHandle<T> {
 
     /// Write a single element directly (independent).
     pub fn set(&mut self, index: &[usize], value: T) -> Result<()> {
-        let off = self.meta.element_byte_offset(index)?;
-        if self.xta.has_view() {
-            self.xta.set_view(0, None);
-        }
-        let vals = [value];
-        if let Some(view) = T::as_le_bytes(&vals) {
-            self.xta.write_at(off, view)?;
-        } else {
-            let mut buf = Vec::with_capacity(T::SIZE);
-            vals[0].write_le(&mut buf);
-            self.xta.write_at(off, &buf)?;
-        }
-        Ok(())
+        self.store.set(self.meta.element_byte_offset(index)?, value)
     }
 }
 

@@ -37,8 +37,13 @@ impl MsgFile {
             let _ = pfs.open_or_create(name)?;
         }
         comm.barrier()?;
-        let file = pfs.open(name)?;
-        Ok(MsgFile { comm: comm.clone(), file, disp: 0, view: None })
+        Ok(MsgFile::new(comm, pfs.open(name)?))
+    }
+
+    /// Bind an already open file to `comm` (non-collective), with the
+    /// identity view.
+    pub fn new(comm: &Comm, file: PfsFile) -> MsgFile {
+        MsgFile { comm: comm.clone(), file, disp: 0, view: None }
     }
 
     /// Set this rank's file view (`MPI_File_set_view`): logical data bytes
@@ -47,11 +52,6 @@ impl MsgFile {
     pub fn set_view(&mut self, disp: u64, filetype: Option<Datatype>) {
         self.disp = disp;
         self.view = filetype;
-    }
-
-    /// Whether a non-identity file view is currently set.
-    pub fn has_view(&self) -> bool {
-        self.view.is_some()
     }
 
     /// The communicator this file was opened on.
@@ -72,14 +72,6 @@ impl MsgFile {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Collective resize (`MPI_File_set_size`).
-    pub fn set_size(&self, size: u64) -> Result<()> {
-        if self.comm.rank() == 0 {
-            self.file.set_len(size)?;
-        }
-        self.comm.barrier()
     }
 
     /// Absolute `(offset, len)` file extents for a logical `[data_offset,
@@ -551,18 +543,6 @@ mod tests {
                 let block = f.read_vec(b * 64, 64).unwrap();
                 assert!(block.iter().all(|&x| x == (b % 2) as u8 + 1), "block {b}");
             }
-            Ok(())
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn set_size_is_collective() {
-        let fs = pfs();
-        run_spmd(2, |comm| {
-            let f = MsgFile::open(comm, &fs, "f", true)?;
-            f.set_size(4096)?;
-            assert_eq!(f.len(), 4096);
             Ok(())
         })
         .unwrap();

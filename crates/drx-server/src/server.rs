@@ -36,8 +36,8 @@ use crate::proto::{
     DATA_HEADER,
 };
 use drx_core::{index, ArrayMeta, Region};
-use drx_mp::{copy_rows, ChunkPlan, XMD_SUFFIX, XTA_SUFFIX};
-use drx_pfs::{Pfs, PfsFile};
+use drx_mp::{copy_rows, ArrayStore, ChunkPlan, MpError};
+use drx_pfs::{Pfs, PfsError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -56,15 +56,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// One open array: metadata, payload file, lock manager, shared cache.
+/// One open array: metadata, file pair, lock manager, shared cache.
 pub(crate) struct ArrayState {
     name: String,
     // A request's bounds snapshot is a pointer clone; `extend` swaps in
     // the grown metadata.
     // lock-class: meta => ArrayMeta
     meta: RwLock<Arc<ArrayMeta>>,
-    xmd: PfsFile,
-    xta: PfsFile,
+    store: ArrayStore,
     locks: RangeLockManager,
     cache: SharedChunkCache,
 }
@@ -318,25 +317,24 @@ impl Server {
             entry.handles += 1;
             return Ok(Arc::clone(&entry.state));
         }
-        let pfs = &self.inner.pfs;
-        let xmd = pfs.open(&format!("{name}{XMD_SUFFIX}")).map_err(|_| {
-            ServerError::new(ErrorCode::NoSuchArray, format!("no array named '{name}'"))
-        })?;
-        let meta = ArrayMeta::decode(&xmd.read_vec(0, xmd.len() as usize)?)
-            .map_err(|e| ServerError::new(ErrorCode::Internal, e.to_string()))?;
-        let xta = pfs.open(&format!("{name}{XTA_SUFFIX}")).map_err(|_| {
-            ServerError::new(ErrorCode::NoSuchArray, format!("array '{name}' has no payload"))
+        // A stored `.xmd` that does not decode is a storage fault, not a
+        // bad request.
+        let (store, meta) = ArrayStore::open(&self.inner.pfs, name).map_err(|e| match e {
+            MpError::Pfs(PfsError::NoSuchFile(_)) => {
+                ServerError::new(ErrorCode::NoSuchArray, format!("no array named '{name}'"))
+            }
+            MpError::Core(e) => ServerError::new(ErrorCode::Internal, e.to_string()),
+            e => e.into(),
         })?;
         let cache = SharedChunkCache::new(
-            xta.clone(),
+            store.payload().clone(),
             meta.chunk_bytes() as usize,
             self.inner.config.cache_chunks,
         )?;
         let state = Arc::new(ArrayState {
             name: name.to_string(),
             meta: RwLock::new(Arc::new(meta)),
-            xmd,
-            xta,
+            store,
             locks: RangeLockManager::new(),
             cache,
         });
@@ -505,17 +503,10 @@ fn extend(array: &ArrayState, dim: u32, by: u64) -> Result<Vec<u64>> {
     // Copy-on-write: snapshots taken by in-flight requests keep the old
     // metadata.
     let meta = Arc::make_mut(&mut snapshot);
-    let outcome = meta.extend(dim as usize, by)?;
-    if outcome.new_chunk_count > 0 {
-        array.xta.set_len(meta.payload_bytes())?;
-    }
-    let bytes = meta.encode();
-    array.xmd.write_at(0, &bytes)?;
-    array.xmd.set_len(bytes.len() as u64)?;
-    // Extend-commit durability barrier: the axial vectors must be on disk
-    // before any payload lands in the extended region, otherwise a crash
-    // leaves `.xta` bytes that no `.xmd` mapping can address.
-    array.xmd.sync()?;
+    meta.extend(dim as usize, by)?;
+    // The durable commit point: the axial vectors are on disk before any
+    // payload lands in the extended region.
+    array.store.commit(meta)?;
     Ok(to_u64_dims(meta.element_bounds()))
 }
 

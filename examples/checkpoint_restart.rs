@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example checkpoint_restart`
 
-use drx::serial::DrxFile;
+use drx::serial::{ArrayStore, DrxFile};
 use drx::{Backing, CostModel, Layout, Pfs, PfsConfig, Region};
 
 const CELLS: usize = 256;
@@ -66,23 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Phase 2: a fresh process restarts from disk. ----
     {
         let pfs = open_pfs(&dir)?;
-        // Fresh PFS namespaces don't know the logical lengths; recover them
-        // the same way drxtool does: .xmd is dense on disk, .xta length
-        // comes from the decoded metadata.
-        let mut xmd_len = 0u64;
-        for s in 0..2 {
-            let p = dir.join(format!("server{s}")).join("state.xmd");
-            if p.exists() {
-                xmd_len += std::fs::metadata(&p)?.len();
-            }
-        }
-        let xmd = pfs.open_or_create("state.xmd")?;
-        xmd.set_len(xmd_len)?;
-        let meta = drx::ArrayMeta::decode(&xmd.read_vec(0, xmd_len as usize)?)?;
-        let xta = pfs.open_or_create("state.xta")?;
-        xta.set_len(meta.payload_bytes())?;
-
-        let ckpt: DrxFile<f64> = DrxFile::open(&pfs, "state")?;
+        // A fresh PFS namespace does not know the pair: adopt its surviving
+        // stripes, sizing the payload from the recovered metadata.
+        let ckpt: DrxFile<f64> = DrxFile::from_store(ArrayStore::adopt(&pfs, "state")?)?;
         let snapshots = ckpt.bounds()[0];
         assert_eq!(snapshots, written_checkpoints, "all checkpoints survived the crash");
         println!("restart found {snapshots} snapshots; resuming from the last one");

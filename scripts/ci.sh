@@ -20,6 +20,9 @@
 #      must detect a planted corrupt chunk) and 5-second untraced `bulk`,
 #      `serve` and `zones` runs whose result lines must report correct
 #      reads and no failures
+#  10. the checkpoint/restart example: writes a growing array to real disk,
+#      restarts in a fresh namespace through `ArrayStore::adopt` and checks
+#      its own results with asserts
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,5 +85,8 @@ assert d["failed"] == 0, d
 print("perfbench", sys.argv[1], "OK:", d["attempted"], "operations")
 EOF
 done
+
+echo "==> checkpoint/restart example (self-checking)"
+cargo run -q --release --example checkpoint_restart
 
 echo "==> CI green"

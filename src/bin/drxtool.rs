@@ -27,9 +27,10 @@
 //! The tool stores the PFS geometry in `<dir>/pfs.conf` so later invocations
 //! reopen the same striping.
 
-use drx::serial::DrxFile;
+use drx::parallel::MpError;
+use drx::serial::{ArrayStore, DrxFile, XMD_SUFFIX};
 use drx::server::{Server, ServerConfig, TcpClient};
-use drx::{fault, Backing, CostModel, DType, Pfs, PfsConfig};
+use drx::{fault, ArrayMeta, Backing, CostModel, DType, Pfs, PfsConfig, PfsError};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -169,48 +170,17 @@ fn injector_for(
     Ok(Some(std::sync::Arc::new(fault::Injector::new(script))))
 }
 
-/// Register the file pair with the (fresh) PFS namespace: the in-memory
+/// Re-adopt the file pair in the (fresh) PFS namespace: the in-memory
 /// file table does not survive process restarts, so reopening means
-/// re-adopting the on-disk stripes under the same names.
-///
-/// Logical lengths are recovered as follows: the `.xmd` file is always
-/// written densely, so summing its server-local stripe files gives its
-/// exact length; the `.xta` payload may be sparse (unwritten chunks), but
-/// its true length is recorded in the decoded metadata.
-fn adopt(pfs: &Pfs, dir: &Path, name: &str) -> Result<drx::ArrayMeta, Box<dyn std::error::Error>> {
-    let sum_server_files = |full: &str| -> Result<u64, Box<dyn std::error::Error>> {
-        let mut len = 0u64;
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.is_dir()
-                && path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("server"))
-            {
-                let stripe_file = path.join(full);
-                if stripe_file.exists() {
-                    len += std::fs::metadata(&stripe_file)?.len();
-                }
-            }
+/// re-adopting the on-disk stripes under the same names
+/// ([`ArrayStore::adopt`]). A missing name leaves no stray files behind.
+fn adopt(pfs: &Pfs, name: &str) -> Result<(ArrayStore, ArrayMeta), Box<dyn std::error::Error>> {
+    ArrayStore::adopt(pfs, name).map_err(|e| match e {
+        MpError::Pfs(PfsError::NoSuchFile(_)) => {
+            format!("array '{name}' not found in this directory").into()
         }
-        Ok(len)
-    };
-    let xmd_name = format!("{name}.xmd");
-    // Existence check BEFORE open_or_create: opening first would create an
-    // empty stray `.xmd` stream for the misspelled name, which the
-    // directory scan would then pick up and `serve` would refuse to adopt.
-    let xmd_len = sum_server_files(&xmd_name)?;
-    if xmd_len == 0 {
-        return Err(format!("array '{name}' not found in this directory").into());
-    }
-    let xmd = pfs.open_or_create(&xmd_name)?;
-    if xmd.len() < xmd_len {
-        xmd.set_len(xmd_len)?;
-    }
-    let meta = drx::ArrayMeta::decode(&xmd.read_vec(0, xmd_len as usize)?)?;
-    let xta = pfs.open_or_create(&format!("{name}.xta"))?;
-    if xta.len() < meta.payload_bytes() {
-        xta.set_len(meta.payload_bytes())?;
-    }
-    Ok(meta)
+        e => e.into(),
+    })
 }
 
 fn dims(v: &[usize]) -> String {
@@ -231,7 +201,7 @@ fn array_names(dir: &Path) -> Result<Vec<String>, Box<dyn std::error::Error>> {
         for f in std::fs::read_dir(&path)? {
             let f = f?;
             let name = f.file_name().to_string_lossy().into_owned();
-            if let Some(base) = name.strip_suffix(".xmd") {
+            if let Some(base) = name.strip_suffix(XMD_SUFFIX) {
                 // Zero-length strays (left by older builds opening before
                 // checking existence) are not arrays.
                 if f.metadata()?.len() > 0 {
@@ -254,7 +224,7 @@ fn run_serve(dir: &Path, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> 
         return Err(format!("no arrays found in {}", dir.display()).into());
     }
     for name in &names {
-        adopt(&pfs, dir, name)?;
+        adopt(&pfs, name)?;
     }
     let server = Server::new(pfs, ServerConfig { cache_chunks: opts.cache });
     let handle = drx::server::serve(&server, opts.addr.as_str(), opts.threads)
@@ -411,10 +381,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         "info" | "axial" | "extend" | "get" | "set" | "dump" => {
             let pfs = pfs_for(&dir, &opts, false)?;
-            let meta = adopt(&pfs, &dir, &name)?;
-            match meta.dtype() {
-                DType::Float64 => dispatch::<f64>(cmd, &pfs, &name, &opts)?,
-                DType::Int64 => dispatch::<i64>(cmd, &pfs, &name, &opts)?,
+            let pair = adopt(&pfs, &name)?;
+            match pair.1.dtype() {
+                DType::Float64 => dispatch(cmd, DrxFile::<f64>::from_store(pair)?, &name, &opts)?,
+                DType::Int64 => dispatch(cmd, DrxFile::<i64>::from_store(pair)?, &name, &opts)?,
                 other => {
                     return Err(
                         format!("drxtool supports f64/i64 files, found {}", other.name()).into()
@@ -429,7 +399,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
 fn dispatch<T>(
     cmd: &str,
-    pfs: &Pfs,
+    mut f: DrxFile<T>,
     name: &str,
     opts: &Opts,
 ) -> Result<(), Box<dyn std::error::Error>>
@@ -437,7 +407,6 @@ where
     T: drx::Element + std::fmt::Display + std::str::FromStr,
     <T as std::str::FromStr>::Err: std::fmt::Display,
 {
-    let mut f: DrxFile<T> = DrxFile::open(pfs, name)?;
     match cmd {
         "info" => {
             let m = f.meta();

@@ -42,7 +42,8 @@ pub use drx_msg::{run_spmd, Comm, Datatype, MsgError, MsgFile, ReduceOp, Window}
 
 /// The serial DRX library (one process, `.xmd` + `.xta` file pair).
 pub mod serial {
-    pub use drx_mp::serial::{DrxFile, XMD_SUFFIX, XTA_SUFFIX};
+    pub use drx_mp::serial::DrxFile;
+    pub use drx_mp::store::{ArrayStore, XMD_SUFFIX, XTA_SUFFIX};
 }
 
 /// The parallel DRX-MP library (zones, collective I/O, GA-style access).

@@ -5,9 +5,9 @@
 //! addressable, and everything synced before the crash reads back exactly.
 
 use drx::fault::{CrashRegistry, Event, FaultKind, Injector, Op, Script};
-use drx::parallel::MpError;
-use drx::serial::DrxFile;
-use drx::{Backing, Pfs, PfsConfig, PfsError};
+use drx::parallel::{to_msg, DistSpec, DrxmpHandle, MpError};
+use drx::serial::{ArrayStore, DrxFile};
+use drx::{run_spmd, Backing, Pfs, PfsConfig, PfsError};
 use std::sync::Arc;
 
 const SERVERS: usize = 2;
@@ -38,16 +38,11 @@ fn checkpoint(pfs: &Pfs, inj: &Injector) -> Result<u64, MpError> {
     Ok(inj.ops())
 }
 
-/// Reopen the pair from whatever survived the crash. `recover` rebuilds
-/// the logical lengths from the durable server-local streams; the payload
-/// is then re-sized to what the (richer) decoded metadata records.
+/// Reopen the pair from whatever survived the crash: `adopt` rebuilds the
+/// logical lengths from the durable server-local streams and re-sizes the
+/// payload to what the (richer) decoded metadata records.
 fn reopen(reg: &Arc<CrashRegistry>) -> Result<DrxFile<f64>, MpError> {
-    let pfs = crash_pfs(reg, None);
-    pfs.recover("a.xmd").map_err(MpError::Pfs)?;
-    pfs.recover("a.xta").map_err(MpError::Pfs)?;
-    let f: DrxFile<f64> = DrxFile::open(&pfs, "a")?;
-    f.payload_file().set_len(f.meta().payload_bytes()).map_err(MpError::Pfs)?;
-    Ok(f)
+    DrxFile::from_store(ArrayStore::adopt(&crash_pfs(reg, None), "a")?)
 }
 
 fn assert_checkpoint_intact(f: &DrxFile<f64>) {
@@ -160,4 +155,32 @@ fn extend_commit_survives_crash_with_addressable_region() {
     assert_eq!(f.bounds(), &[4, 6], "committed extend must survive the crash");
     assert_checkpoint_intact(&f);
     assert_eq!(f.get(&[3, 5]).expect("extended element"), 99.0);
+}
+
+/// Create and extend are commit points on every surface: a crash right
+/// after them reopens at the committed bounds, with no sync by the caller.
+/// A 2-rank `DrxmpHandle` commits from rank 0; a fresh `DrxFile` commits
+/// at create.
+#[test]
+fn create_and_extend_commits_survive_crash_on_every_surface() {
+    let reg = CrashRegistry::new();
+    let pfs = crash_pfs(&reg, None);
+    run_spmd(2, |comm| {
+        let mut h: DrxmpHandle<f64> =
+            DrxmpHandle::create(comm, &pfs, "a", &[2, 2], &[4, 4], DistSpec::block(vec![2, 1]))
+                .map_err(to_msg)?;
+        h.extend(1, 2).map_err(to_msg)?;
+        h.close().map_err(to_msg)
+    })
+    .expect("parallel create + extend");
+    reg.crash_all();
+    let f = reopen(&reg).expect("reopen after parallel extend + crash");
+    assert_eq!(f.bounds(), &[4, 6], "committed parallel extend must survive the crash");
+
+    let reg = CrashRegistry::new();
+    DrxFile::<f64>::create(&crash_pfs(&reg, None), "a", &[2, 2], &[3, 5]).expect("create");
+    reg.crash_all();
+    let f = reopen(&reg).expect("reopen after create + crash");
+    assert_eq!(f.bounds(), &[3, 5], "committed create must survive the crash");
+    assert_eq!(f.get(&[2, 4]).expect("created element addressable"), 0.0);
 }

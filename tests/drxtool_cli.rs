@@ -213,6 +213,16 @@ fn errors_are_reported_not_panicked() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("drxtool:"));
     // Out-of-bounds get after create.
     ok_stdout(&dir, &["create", "a", "--dtype", "f64", "--chunk", "2", "--bounds", "4"]);
+    // A misspelled name fails without leaving stray streams behind.
+    let out = tool(&dir, &["info", "missing"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("not found"));
+    for server in std::fs::read_dir(&dir).unwrap() {
+        let server = server.unwrap().path();
+        for stray in ["missing.xmd", "missing.xta"] {
+            assert!(!server.join(stray).exists(), "stray {}", server.join(stray).display());
+        }
+    }
     let out = tool(&dir, &["get", "a", "--index", "9"]);
     assert!(!out.status.success());
     std::fs::remove_dir_all(&dir).unwrap();

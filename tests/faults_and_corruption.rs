@@ -5,6 +5,7 @@
 use drx::fault::Injector;
 use drx::parallel::{to_msg, DistSpec, DrxmpHandle, MpError};
 use drx::serial::DrxFile;
+use drx::server::{Client, ErrorCode, Server, ServerConfig, ServerError};
 use drx::{run_spmd, Layout, Pfs, PfsConfig, PfsError, Region};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -37,6 +38,10 @@ fn injected_server_fault_surfaces_through_serial_reads() {
     let region = Region::new(vec![0, 0], vec![8, 8]).unwrap();
     let err = f.read_region(&region, Layout::C).unwrap_err();
     assert!(matches!(err, MpError::Pfs(PfsError::Unavailable { server: 0 })), "got: {err}");
+    // A server opening the array meanwhile reports the outage, not a
+    // missing or corrupt array.
+    let err = server_open(&pfs, "arr").expect_err("server open with a down stripe server");
+    assert_eq!(err.code, ErrorCode::Unavailable, "got: {err}");
     // Once the server is back, the same read succeeds and is correct.
     inj.set_down(0, false);
     let data = f.read_region(&region, Layout::C).unwrap();
@@ -117,6 +122,16 @@ fn corrupt_metadata_is_rejected_on_open() {
         }
     });
     assert!(res.is_ok());
+    // The server reports a stored `.xmd` that does not decode as a storage
+    // fault.
+    let err = server_open(&pfs, "arr").expect_err("server open must fail on corrupt metadata");
+    assert_eq!(err.code, ErrorCode::Internal, "got: {err}");
+}
+
+/// Open `name` through an in-process server session.
+fn server_open(pfs: &Pfs, name: &str) -> Result<(), ServerError> {
+    let server = Server::new(pfs.clone(), ServerConfig::default());
+    Client::connect(&server).open(name).map(|_| ())
 }
 
 #[test]
@@ -170,10 +185,12 @@ fn rank_panic_inside_parallel_io_does_not_deadlock() {
 fn missing_files_error_cleanly() {
     let pfs = Pfs::memory(2, 64).unwrap();
     assert!(DrxFile::<i64>::open(&pfs, "nope").is_err());
-    // In the parallel open, rank 0 fails before the metadata broadcast; the
-    // abort discipline (returning Err poisons the world) must release the
-    // other rank from the pending collective instead of deadlocking —
-    // exactly what an MPI program would need MPI_Abort for.
+    let err = server_open(&pfs, "nope").expect_err("server open of a missing array must fail");
+    assert_eq!(err.code, ErrorCode::NoSuchArray, "got: {err}");
+    // In the parallel open, a rank that fails to open the pair returns
+    // early; the abort discipline (returning Err poisons the world) must
+    // release any other rank from the pending collective instead of
+    // deadlocking — exactly what an MPI program would need MPI_Abort for.
     let fs = pfs.clone();
     let res = run_spmd(2, move |comm| -> drx_msg::Result<()> {
         match DrxmpHandle::<i64>::open(comm, &fs, "nope", DistSpec::block(vec![2, 1])) {
