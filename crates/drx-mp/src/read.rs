@@ -23,7 +23,9 @@
 //! is still in cache. A write reads back only the partially covered chunks
 //! of a window. Only the collective paths hold a region-sized buffer,
 //! because two-phase I/O redistributes the aggregate request in one
-//! exchange.
+//! exchange. Collective reads fetch whole chunks; collective writes (in
+//! [`crate::write`]) name only the element rows they cover, so they need
+//! no read-back.
 //!
 //! [`ExtendibleShape::region_runs`]: drx_core::ExtendibleShape::region_runs
 
@@ -123,7 +125,7 @@ impl ChunkPlan {
 
     /// Write the chunk index of entry `i` into `scratch` (no allocation
     /// once `scratch` has capacity).
-    pub(crate) fn write_index_at(&self, i: usize, scratch: &mut Vec<usize>) {
+    fn write_index_at(&self, i: usize, scratch: &mut Vec<usize>) {
         let (_, run, step) = self.entries[i];
         self.runs[run as usize].write_index_at(step as usize, scratch);
     }
@@ -207,7 +209,7 @@ impl ChunkPlan {
     /// Gather `data`, the dense buffer of `region` under `strides`, into
     /// the chunk images in `bytes` — one per entry, whose `boxes` are
     /// given. Bytes outside `region` are left as they are.
-    pub(crate) fn gather<T: Element>(
+    fn gather<T: Element>(
         &self,
         bytes: &mut [u8],
         boxes: &[(Region, Option<Region>)],

@@ -1,84 +1,62 @@
 //! Parallel sub-array writes (`DRXMP_Write` / `DRXMP_Write_all`).
 //!
-//! Writes are chunk-granular: fully covered chunks are assembled directly
-//! from the user buffer; partially covered chunks are read first
-//! (read-modify-write) so neighbouring elements survive. Independent
-//! writes run through [`ChunkPlan::write_windowed`], one staging window at
-//! a time. The collective variants perform both the pre-read and the write
-//! as two-phase collective I/O over a region-sized buffer. Concurrent
-//! writers must target disjoint regions (zones are disjoint by
-//! construction), matching MPI-IO's semantics for overlapping access.
+//! Independent writes are chunk-granular and run through
+//! [`ChunkPlan::write_windowed`], one staging window at a time: fully
+//! covered chunks are gathered straight from the user buffer, partially
+//! covered ones are read first (read-modify-write) so neighbouring
+//! elements and edge-chunk slack survive.
+//!
+//! A collective write names only the bytes it covers, as the paper's
+//! `MPI_File_write_all` through an indexed file view does: the view lists
+//! the region's element rows inside each planned chunk, and one two-phase
+//! `write_all` moves them. Nothing is read back, and ranks writing
+//! disjoint regions that share a chunk write disjoint bytes. Overlapping
+//! regions land in an unspecified order, as in MPI-IO.
 
 use crate::error::{MpError, Result};
 use crate::handle::DrxmpHandle;
+use crate::kernels;
 use crate::read::{check_buffer, ChunkPlan};
+use drx_core::index::for_each_row_pair;
 use drx_core::{Element, Layout, Region};
+use drx_msg::Datatype;
 
 impl<T: Element> DrxmpHandle<T> {
-    /// Assemble the chunk images of a collective write of `region` from
-    /// `data`, reading the partially covered chunks collectively first.
-    fn assemble_chunks(
-        &mut self,
-        region: &Region,
-        layout: Layout,
-        data: &[T],
-    ) -> Result<(ChunkPlan, Vec<u8>)> {
-        check_buffer(region, data.len())?;
-        let plan = ChunkPlan::for_region(&self.meta, region)?;
-        let chunking = self.meta.chunking();
-        let boxes = plan.boxes(0..plan.len(), chunking, region).collect::<Result<Vec<_>>>()?;
-        // Which planned chunks are only partially covered by the region?
-        // Entries are address-sorted, so `partial` comes out pre-sorted.
-        let mut partial: Vec<(Vec<usize>, u64)> = Vec::new();
-        for (i, (chunk_box, valid)) in boxes.iter().enumerate() {
-            if valid.as_ref() != Some(chunk_box) {
-                let mut idx = Vec::new();
-                plan.write_index_at(i, &mut idx);
-                partial.push((idx, plan.entries[i].0));
-            }
-        }
-        let partial_plan = self.plan_chunks(partial);
-        // Guard against silent corruption: two ranks read-modify-writing
-        // the *same* partial chunk race at chunk granularity (the reason
-        // the paper partitions along chunk boundaries). Detect it
-        // collectively and fail loudly on every rank.
-        let mine: Vec<u64> = partial_plan.addrs().collect();
-        let all = self.comm.allgather_vec::<u64>(&mine)?;
-        let mut seen = std::collections::HashMap::new();
-        for (rank, addrs) in all.iter().enumerate() {
-            for &a in addrs {
-                if let Some(prev) = seen.insert(a, rank) {
-                    return Err(MpError::Invalid(format!(
-                        "collective write conflict: ranks {prev} and {rank} both \
-                         partially cover chunk {a}; align regions to chunk boundaries"
-                    )));
-                }
-            }
-        }
-        let partial_bytes = self.read_plan_all(&partial_plan)?;
-        // Build the chunk images: partial chunks start from their stored
-        // bytes, then the region's elements are gathered in.
-        let cb = self.meta.chunk_bytes() as usize;
-        let mut bytes = vec![0u8; plan.bytes()];
-        let partial_slots = bytes
-            .chunks_exact_mut(cb)
-            .zip(&boxes)
-            .filter(|(_, (b, valid))| valid.as_ref() != Some(b));
-        for ((slot, _), image) in partial_slots.zip(partial_bytes.chunks_exact(cb)) {
-            slot.copy_from_slice(image);
-        }
-        let strides = layout.strides(&region.extents());
-        plan.gather(&mut bytes, &boxes, self.meta.chunking(), region, &strides, data);
-        Ok((plan, bytes))
+    /// Collective two-phase write of `bytes` through the file view `view`;
+    /// the identity view is restored whether or not the write succeeds.
+    fn write_view_all(&mut self, view: Option<Datatype>, bytes: &[u8]) -> Result<()> {
+        self.xta.set_view(0, view);
+        let written = self.xta.write_all(0, bytes);
+        self.xta.set_view(0, None);
+        Ok(written?)
     }
 
-    /// Collective write of assembled chunk images through the plan's
-    /// indexed file view and two-phase I/O.
-    fn write_plan_all(&mut self, plan: &ChunkPlan, bytes: &[u8]) -> Result<()> {
-        self.xta.set_view(0, plan.filetype()?);
-        self.xta.write_all(0, bytes)?;
-        self.xta.set_view(0, None);
-        Ok(())
+    /// The element-row file view of a write of `region` from `data` (in
+    /// `layout` order) and the packed buffer it selects: per planned chunk
+    /// in address order, the covered box's rows inside the chunk, and its
+    /// elements in row-major order.
+    fn row_view(&self, region: &Region, layout: Layout, data: &[T]) -> Result<(Datatype, Vec<u8>)> {
+        check_buffer(region, data.len())?;
+        let plan = ChunkPlan::for_region(&self.meta, region)?;
+        let (chunking, strides) = (self.meta.chunking(), layout.strides(&region.extents()));
+        let (cs, chunk_elems) = (chunking.strides(), chunking.chunk_elems() as usize);
+        let (mut lens, mut displs) = (Vec::new(), Vec::new());
+        let mut packed = vec![0u8; data.len() * T::SIZE];
+        let mut pos = 0;
+        for (b, addr) in plan.boxes(0..plan.len(), chunking, region).zip(plan.addrs()) {
+            let (chunk_box, Some(v)) = b? else { continue };
+            let block = &mut packed[pos..pos + v.volume() as usize * T::SIZE];
+            let vs = Layout::C.strides(&v.extents());
+            kernels::gather_chunk(data, region.lo(), &strides, block, v.lo(), &vs, &v);
+            pos += block.len();
+            // `indexed` merges adjacent rows, so a fully covered chunk is
+            // one block.
+            for_each_row_pair(&v, chunk_box.lo(), cs, v.lo(), &vs, |off, _, n| {
+                lens.push(n);
+                displs.push(addr as usize * chunk_elems + off as usize);
+            });
+        }
+        Ok((Datatype::indexed(&lens, &displs, &Datatype::contiguous(T::SIZE as u64))?, packed))
     }
 
     /// Independent write of an element region from a dense buffer in the
@@ -89,27 +67,19 @@ impl<T: Element> DrxmpHandle<T> {
     }
 
     /// Collective write (`DRXMP_Write_all`): every rank passes its own
-    /// region and data (or `None`). The partial-chunk pre-read and the
-    /// write both run as two-phase collective I/O.
+    /// region and data (or `None`). One two-phase `write_all` through an
+    /// element-row file view writes exactly the covered bytes; ranks
+    /// passing `None` take part with an empty view.
     pub fn write_region_all(
         &mut self,
         region: Option<(&Region, &[T])>,
         layout: Layout,
     ) -> Result<()> {
-        match region {
-            Some((r, data)) => {
-                let (plan, bytes) = self.assemble_chunks(r, layout, data)?;
-                self.write_plan_all(&plan, &bytes)
-            }
-            None => {
-                // Mirror the Some branch's collective sequence exactly:
-                // conflict-check allgather, pre-read, write.
-                let _ = self.comm.allgather_vec::<u64>(&[])?;
-                let empty = self.plan_chunks(Vec::new());
-                self.read_plan_all(&empty)?;
-                self.write_plan_all(&empty, &[])
-            }
-        }
+        let (view, packed) = match region {
+            Some((r, data)) => self.row_view(r, layout, data)?,
+            None => (Datatype::contiguous(0), Vec::new()),
+        };
+        self.write_view_all(Some(view), &packed)
     }
 
     /// Collective zone write: every rank writes `data` into its own zone.
@@ -159,7 +129,7 @@ impl<T: Element> DrxmpHandle<T> {
             bytes.extend_from_slice(&drx_core::dtype::encode_slice(&chunks[i].1));
         }
         let plan = self.plan_chunks(sorted);
-        self.write_plan_all(&plan, &bytes)
+        self.write_view_all(plan.filetype()?, &bytes)
     }
 
     /// Collective read-modify-write over this rank's zone: every rank reads
@@ -318,38 +288,72 @@ mod tests {
     }
 
     #[test]
-    fn collective_write_conflict_on_shared_partial_chunk_is_detected() {
+    fn collective_writes_sharing_a_partial_chunk_both_land() {
+        let fs = pfs();
+        {
+            let mut f: DrxFile<i64> = DrxFile::create(&fs, "cf", &[8, 8], &[16, 8]).unwrap();
+            f.fill_with(tag).unwrap();
+        }
+        run_spmd(2, |comm| {
+            let mut h: DrxmpHandle<i64> =
+                DrxmpHandle::open(comm, &fs, "cf", DistSpec::block(vec![2, 1])).map_err(to_msg)?;
+            // Rows 0..12 (rank 0) and 12..16 (rank 1), columns 1..7: both
+            // partially cover the chunk of rows 8..16 and write disjoint
+            // bytes of it.
+            let rows = if comm.rank() == 0 { 0..12 } else { 12..16 };
+            let region = Region::new(vec![rows.start, 1], vec![rows.end, 7]).unwrap();
+            let data = vec![-1 - comm.rank() as i64; region.volume() as usize];
+            h.write_region_all(Some((&region, &data)), Layout::C).map_err(to_msg)?;
+            h.close().map_err(to_msg)?;
+            Ok(())
+        })
+        .unwrap();
+        let f: DrxFile<i64> = DrxFile::open(&fs, "cf").unwrap();
+        for i in 0..16 {
+            for j in 0..8 {
+                let expect = match (i, j) {
+                    (_, 0 | 7) => tag(&[i, j]),
+                    (0..12, _) => -1,
+                    _ => -2,
+                };
+                assert_eq!(f.get(&[i, j]).unwrap(), expect, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn slice_write_into_partial_chunks_reads_nothing() {
+        // The log-append shape: one (1, 32, 32) time slice into (4, 32, 32)
+        // chunks, rank 0 writing and rank 1 passing nothing.
         let fs = pfs();
         run_spmd(2, |comm| {
-            let mut h: DrxmpHandle<i64> = DrxmpHandle::create(
+            let mut h: DrxmpHandle<f64> = DrxmpHandle::create(
                 comm,
                 &fs,
-                "cf",
-                &[8, 8],
-                &[16, 8],
-                DistSpec::block(vec![2, 1]),
+                "log",
+                &[4, 32, 32],
+                &[4, 32, 32],
+                DistSpec::block(vec![2, 1, 1]),
             )
             .map_err(to_msg)?;
-            // Rows 0..12 (rank 0) and 12..16 (rank 1): both partially cover
-            // the chunk row 8..16 — a chunk-granular RMW race.
-            let region = if comm.rank() == 0 {
-                Region::new(vec![0, 0], vec![12, 8]).unwrap()
-            } else {
-                Region::new(vec![12, 0], vec![16, 8]).unwrap()
-            };
-            let data = vec![1i64; region.volume() as usize];
-            let err = h
-                .write_region_all(Some((&region, &data)), Layout::C)
-                .expect_err("conflict must be detected");
-            assert!(err.to_string().contains("write conflict"), "got: {err}");
-            // Chunk-aligned regions go through fine afterwards.
-            let region = if comm.rank() == 0 {
-                Region::new(vec![0, 0], vec![8, 8]).unwrap()
-            } else {
-                Region::new(vec![8, 0], vec![16, 8]).unwrap()
-            };
-            let data = vec![2i64; region.volume() as usize];
-            h.write_region_all(Some((&region, &data)), Layout::C).map_err(to_msg)?;
+            h.extend(0, 1).map_err(to_msg)?;
+            let slice = Region::new(vec![4, 0, 0], vec![5, 32, 32]).unwrap();
+            let data: Vec<f64> = (0..slice.volume()).map(|v| v as f64).collect();
+            if comm.rank() == 0 {
+                fs.reset_stats();
+            }
+            comm.barrier()?;
+            let mine = (comm.rank() == 0).then_some((&slice, data.as_slice()));
+            h.write_region_all(mine, Layout::C).map_err(to_msg)?;
+            if comm.rank() == 0 {
+                let stats = fs.stats().per_server;
+                assert_eq!(stats.iter().map(|s| s.read_requests).sum::<u64>(), 0);
+                let written: u64 = stats.iter().map(|s| s.bytes_written).sum();
+                assert_eq!(written, 32 * 32 * 8, "exactly the slice's bytes");
+            }
+            comm.barrier()?;
+            let back = h.read_region(&slice, Layout::C).map_err(to_msg)?;
+            assert_eq!(back, data);
             h.close().map_err(to_msg)?;
             Ok(())
         })

@@ -2,11 +2,11 @@
 //! grown shapes, in both memory layouts: `read_my_zone` and
 //! `read_region_all` return what `DrxFile::read_region` returns, and files
 //! written with `write_region_all` equal files written serially with
-//! `write_region`.
+//! `write_region` byte for byte, edge-chunk slack included.
 
 use drx_core::{Layout, Region};
 use drx_mp::error::to_msg;
-use drx_mp::{DistSpec, DrxFile, DrxmpHandle};
+use drx_mp::{DistSpec, DrxFile, DrxmpHandle, XTA_SUFFIX};
 use drx_msg::run_spmd;
 use drx_pfs::{Pfs, PfsConfig};
 use proptest::prelude::*;
@@ -112,7 +112,10 @@ proptest! {
         let mut serial: DrxFile<i64> = DrxFile::open(&ser, "a").unwrap();
         let bounds = serial.bounds().to_vec();
         // Every rank writes its zone; then rank 0 alone writes a random,
-        // possibly chunk-unaligned region while the others pass nothing.
+        // possibly chunk-unaligned region while the others pass nothing;
+        // then every rank writes its own row band of that region (bands
+        // may share partially covered chunks).
+        let reg = region(&bounds, &fracs);
         let zones: Vec<Option<Region>> = run_spmd(ranks, |comm| {
             let mut h: DrxmpHandle<i64> =
                 DrxmpHandle::open(comm, &par, "a", DistSpec::auto(ranks, 2)).map_err(to_msg)?;
@@ -120,10 +123,12 @@ proptest! {
             let data = zone.as_ref().map(|z| vals(z, lay, 1));
             let mine = zone.as_ref().zip(data.as_deref());
             h.write_region_all(mine, lay).map_err(to_msg)?;
-            let reg = region(&bounds, &fracs);
             let data = vals(&reg, lay, 2);
             let mine = (comm.rank() == 0).then_some((&reg, data.as_slice()));
             h.write_region_all(mine, lay).map_err(to_msg)?;
+            let band = band(&reg, comm.rank(), ranks);
+            let data = band.as_ref().map(|b| vals(b, lay, 3));
+            h.write_region_all(band.as_ref().zip(data.as_deref()), lay).map_err(to_msg)?;
             h.close().map_err(to_msg)?;
             Ok(zone)
         })
@@ -131,11 +136,29 @@ proptest! {
         for zone in zones.iter().flatten() {
             serial.write_region(zone, lay, &vals(zone, lay, 1)).unwrap();
         }
-        let reg = region(&bounds, &fracs);
         serial.write_region(&reg, lay, &vals(&reg, lay, 2)).unwrap();
+        for b in (0..ranks).filter_map(|r| band(&reg, r, ranks)) {
+            serial.write_region(&b, lay, &vals(&b, lay, 3)).unwrap();
+        }
         let parallel: DrxFile<i64> = DrxFile::open(&par, "a").unwrap();
         prop_assert_eq!(parallel.read_full(Layout::C).unwrap(), serial.read_full(Layout::C).unwrap());
+        let payload = |fs: &Pfs| {
+            let xta = fs.open(&format!("a{XTA_SUFFIX}")).unwrap();
+            xta.read_vec(0, xta.len() as usize).unwrap()
+        };
+        prop_assert_eq!(payload(&par), payload(&ser));
     }
+}
+
+/// Rank `rank`'s share of `reg`'s rows (dimension 0) split evenly over
+/// `ranks`, or `None` when the share is empty.
+fn band(reg: &Region, rank: usize, ranks: usize) -> Option<Region> {
+    let (lo, n) = (reg.lo()[0], reg.extents()[0]);
+    let (start, end) = (lo + n * rank / ranks, lo + n * (rank + 1) / ranks);
+    let mut band_lo = reg.lo().to_vec();
+    let mut band_hi = reg.hi().to_vec();
+    (band_lo[0], band_hi[0]) = (start, end);
+    (start < end).then(|| Region::new(band_lo, band_hi).unwrap())
 }
 
 /// Values for `reg` in memory layout `lay`, salted by `round`.

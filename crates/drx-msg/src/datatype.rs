@@ -45,13 +45,8 @@ impl Datatype {
     /// `count` repetitions of `base` laid end to end
     /// (`MPI_Type_contiguous` over a derived base).
     pub fn repeated(base: &Datatype, count: usize) -> Self {
-        let mut extents = Vec::with_capacity(base.extents.len() * count);
-        for rep in 0..count as u64 {
-            let shift = rep * base.extent;
-            for &(off, len) in &base.extents {
-                push_coalescing(&mut extents, off + shift, len);
-            }
-        }
+        let mut extents = Vec::new();
+        push_items(&mut extents, 0, count, base);
         Datatype { extent: base.extent * count as u64, extents }
     }
 
@@ -65,13 +60,7 @@ impl Datatype {
         }
         let mut extents = Vec::new();
         for b in 0..count as u64 {
-            let block_origin = b * stride as u64 * base.extent;
-            for i in 0..blocklen as u64 {
-                let shift = block_origin + i * base.extent;
-                for &(off, len) in &base.extents {
-                    push_coalescing(&mut extents, off + shift, len);
-                }
-            }
+            push_items(&mut extents, b * stride as u64 * base.extent, blocklen, base);
         }
         let extent = count as u64 * stride as u64 * base.extent;
         Ok(Datatype { extents, extent })
@@ -104,12 +93,7 @@ impl Datatype {
                     ));
                 }
             }
-            for i in 0..bl as u64 {
-                let shift = start + i * base.extent;
-                for &(off, len) in &base.extents {
-                    push_coalescing(&mut extents, off + shift, len);
-                }
-            }
+            push_items(&mut extents, start, bl, base);
             let end = start + bl as u64 * base.extent;
             prev_end = Some(end);
             max_end = max_end.max(end);
@@ -238,6 +222,21 @@ impl Datatype {
             }
         }
         out
+    }
+}
+
+/// Append `count` consecutive items of `base` starting at byte `start`.
+/// A dense base (one extent spanning its whole extent) makes the items one
+/// run, pushed at once; any other base is expanded item by item.
+fn push_items(extents: &mut Vec<(u64, u64)>, start: u64, count: usize, base: &Datatype) {
+    if base.extents == [(0, base.extent)] {
+        push_coalescing(extents, start, count as u64 * base.extent);
+        return;
+    }
+    for i in 0..count as u64 {
+        for &(off, len) in &base.extents {
+            push_coalescing(extents, start + i * base.extent + off, len);
+        }
     }
 }
 

@@ -7,11 +7,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The extents of an indexed type cover exactly blocklens·base bytes, in
-    /// increasing non-overlapping order.
+    /// increasing non-overlapping order, and equal the item-by-item
+    /// expansion of the blocks. A zero pad makes the base dense (the
+    /// one-run-per-block path); a positive pad leaves a gap after each item.
+    /// Zero gaps make neighbouring blocks touch.
     #[test]
     fn indexed_extents_are_sorted_disjoint_and_complete(
         base_len in 1u64..64,
-        blocks in prop::collection::vec((1usize..4, 1usize..5), 1..8),
+        pad in 0u64..3,
+        blocks in prop::collection::vec((0usize..4, 1usize..5), 1..8),
     ) {
         // Build monotonically increasing displacements with gaps.
         let mut displs = Vec::new();
@@ -23,7 +27,7 @@ proptest! {
             lens.push(len);
             cursor += len;
         }
-        let base = Datatype::contiguous(base_len);
+        let base = Datatype::contiguous(base_len).resized(base_len + pad).unwrap();
         let t = Datatype::indexed(&lens, &displs, &base).unwrap();
         let total: u64 = lens.iter().map(|&l| l as u64 * base_len).sum();
         prop_assert_eq!(t.size(), total);
@@ -31,6 +35,18 @@ proptest! {
         for w in extents.windows(2) {
             prop_assert!(w[0].0 + w[0].1 <= w[1].0, "overlap or disorder: {:?}", extents);
         }
+        // Reference: one `base_len` run per item, adjacent runs merged.
+        let mut expect: Vec<(u64, u64)> = Vec::new();
+        for (&d, &l) in displs.iter().zip(&lens) {
+            for i in 0..l as u64 {
+                let off = (d as u64 + i) * (base_len + pad);
+                match expect.last_mut() {
+                    Some(last) if last.0 + last.1 == off => last.1 += base_len,
+                    _ => expect.push((off, base_len)),
+                }
+            }
+        }
+        prop_assert_eq!(extents, expect.as_slice());
     }
 
     /// absolute_ranges is consistent: mapping the whole selected size

@@ -14,9 +14,11 @@ use drx::parallel::{to_msg, DistSpec, DrxmpHandle};
 use drx::serial::DrxFile;
 use drx::{run_spmd, Layout, Pfs, Region};
 
-// Dimensions chosen so every rank's band is chunk-aligned: concurrent
-// writers must not share partial chunks (the paper partitions "always along
-// chunk boundaries" for exactly this reason).
+// Dimensions chosen so every rank's band is chunk-aligned, as the paper
+// partitions "always along chunk boundaries": each collective write then
+// covers whole chunks, and adjacent chunks merge into one file block.
+// Bands sharing a partial chunk would also work: each rank then writes
+// only its own element rows of that chunk.
 const M: usize = 64;
 const K: usize = 40;
 const N: usize = 32;

@@ -20,9 +20,11 @@
 #      must detect a planted corrupt chunk) and 5-second untraced `bulk`,
 #      `serve` and `zones` runs whose result lines must report correct
 #      reads and no failures
-#  10. the checkpoint/restart example: writes a growing array to real disk,
-#      restarts in a fresh namespace through `ArrayStore::adopt` and checks
-#      its own results with asserts
+#  10. the self-checking examples: checkpoint/restart (writes a growing
+#      array to real disk and restarts in a fresh namespace through
+#      `ArrayStore::adopt`), and the collective writers oc_matmul
+#      (`write_region_all`) and parallel_zones (`write_my_zone`); each
+#      checks its own results with asserts
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,7 +88,10 @@ print("perfbench", sys.argv[1], "OK:", d["attempted"], "operations")
 EOF
 done
 
-echo "==> checkpoint/restart example (self-checking)"
-cargo run -q --release --example checkpoint_restart
+echo "==> self-checking examples (checkpoint/restart, collective writers)"
+for example in checkpoint_restart oc_matmul parallel_zones; do
+    echo "--- example $example"
+    cargo run -q --release --example "$example"
+done
 
 echo "==> CI green"

@@ -52,47 +52,60 @@ fn injected_server_fault_surfaces_through_serial_reads() {
 fn injected_fault_poisons_a_parallel_collective_cleanly() {
     let (pfs, inj) = faulty_pfs();
     seeded(&pfs);
-    // Ranks that got past `open` and into the collective read.
-    let reached = AtomicUsize::new(0);
-    let zone_read = |fault: bool| {
-        let (fs, inj, reached) = (pfs.clone(), &inj, &reached);
+    // Ranks that got past `open` and into the collective, and ranks that
+    // came back from it with the expected error.
+    let (reached, failed) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let collective = |fault: bool, write: bool| {
+        let (fs, inj, reached, failed) = (pfs.clone(), &inj, &reached, &failed);
         run_spmd(2, move |comm| {
             // Open with every server up, so the fault fires inside the
-            // two-phase collective read, not in the metadata read.
+            // two-phase collective, not in the metadata read.
             let mut h: DrxmpHandle<i64> =
                 DrxmpHandle::open(comm, &fs, "arr", DistSpec::block(vec![2, 1])).map_err(to_msg)?;
+            let zone = h.my_zone().expect("both ranks own a zone");
+            let data = vec![-(comm.rank() as i64) - 1; zone.volume() as usize];
             comm.barrier()?;
             if fault && comm.rank() == 0 {
                 inj.set_down(1, true);
             }
             comm.barrier()?;
             reached.fetch_add(1, Ordering::SeqCst);
-            // Some rank's aggregated read will hit the down server; both
+            // Some rank's aggregated request will hit the down server; both
             // ranks must come back with an error (the fault, the peer's
             // failure or the poison), never a deadlock or a panic.
-            match h.read_my_zone(Layout::C) {
-                Ok(_) => Ok(true),
-                Err(e) => {
-                    let s = e.to_string();
-                    assert!(
-                        s.contains("unavailable")
-                            || s.contains("collective failed")
-                            || s.contains("poisoned"),
-                        "unexpected error: {s}"
-                    );
-                    Err(to_msg(e))
-                }
-            }
+            let res = if write {
+                h.write_my_zone(Layout::C, Some(&data)).map(|()| true)
+            } else {
+                h.read_my_zone(Layout::C).map(|_| true)
+            };
+            res.map_err(|e| {
+                let s = e.to_string();
+                assert!(
+                    s.contains("unavailable")
+                        || s.contains("collective failed")
+                        || s.contains("poisoned"),
+                    "unexpected error: {s}"
+                );
+                failed.fetch_add(1, Ordering::SeqCst);
+                to_msg(e)
+            })
         })
     };
-    // The run as a whole reports the failure, and both ranks reached the
-    // collective read before it failed.
-    assert!(zone_read(true).is_err(), "fault must propagate out of run_spmd");
-    assert_eq!(reached.swap(0, Ordering::SeqCst), 2, "the fault must fire in read_my_zone");
-    // Once the server is back, the same collective read succeeds.
-    inj.set_down(1, false);
-    assert!(zone_read(false).is_ok());
-    assert_eq!(reached.load(Ordering::SeqCst), 2);
+    for write in [false, true] {
+        // The run as a whole reports the failure, both ranks reached the
+        // collective before it failed, and both returned the error.
+        assert!(collective(true, write).is_err(), "fault must propagate out of run_spmd");
+        assert_eq!(reached.swap(0, Ordering::SeqCst), 2, "the fault must fire in the collective");
+        assert_eq!(failed.swap(0, Ordering::SeqCst), 2, "every rank must return the error");
+        // Once the server is back, the same collective succeeds.
+        inj.set_down(1, false);
+        assert!(collective(false, write).is_ok());
+        assert_eq!(reached.swap(0, Ordering::SeqCst), 2);
+    }
+    // The write that succeeded landed every zone.
+    let f: DrxFile<i64> = DrxFile::open(&pfs, "arr").unwrap();
+    assert_eq!(f.get(&[0, 0]).unwrap(), -1);
+    assert_eq!(f.get(&[7, 7]).unwrap(), -2);
 }
 
 #[test]
