@@ -29,12 +29,10 @@ pub const L1_CALL_METHODS: &[&str] = &[
     "acquire",
     "wait_count",
     "locked_chunks",
-    "ensure_resident",
     "read_frames",
     "write_frames",
     "read_chunks",
     "put_chunk",
-    "credit",
     "flush",
     "session_stats",
     "global_stats",

@@ -64,8 +64,8 @@ pub struct PrefetchOutcome {
     pub resident: usize,
     /// Chunks fetched from the file by this call.
     pub fetched: usize,
-    /// Number of coalesced `read_vec` calls issued for the fetched chunks
-    /// (each covers a run of consecutive chunk addresses).
+    /// Runs of consecutive chunk addresses among the fetched chunks: the
+    /// file extents the one scatter read covers.
     pub runs: usize,
 }
 
@@ -279,55 +279,51 @@ impl ChunkPool {
         Ok(())
     }
 
-    /// Fault in a batch of chunks, coalescing runs of *consecutive* missing
-    /// chunk addresses into single file extents and fetching all of them
-    /// with one vectored request. This is what turns N per-chunk PFS round
-    /// trips into one large request per run (and lets the PFS worker pool
-    /// service distinct runs in parallel).
+    /// Fault in a batch of chunks with one scatter read straight into the
+    /// new frames. Runs of *consecutive* missing addresses become single
+    /// file extents (the PFS layer joins adjacent pieces), so N per-chunk
+    /// round trips turn into one request per run, and the PFS worker pool
+    /// services distinct runs in parallel.
     ///
-    /// Accounting: each truly-fetched chunk counts one miss; chunks already
-    /// resident are left untouched (no hit is recorded — the later
-    /// [`ChunkPool::read`] of each chunk records its own hit). Runs longer
-    /// than the pool capacity are split so a prefetch can never evict its
-    /// own batch.
+    /// Accounting: each fetched chunk counts one miss. Chunks already
+    /// resident count nothing (the later [`ChunkPool::frame`] of each
+    /// records its own hit) but become the most recently used, so a batch
+    /// of at most `capacity` distinct chunks is wholly resident afterwards.
+    /// A larger batch evicts its own first chunks as the later ones are
+    /// installed: callers window their requests at `capacity`.
     pub fn prefetch(&mut self, addrs: &[u64]) -> Result<PrefetchOutcome> {
         // Trace hook for the drx-sched schedule explorer (no-op otherwise).
         #[cfg(drx_sched)]
         drx_sched::probe("mpool:prefetch");
-        let mut missing: Vec<u64> =
-            addrs.iter().copied().filter(|a| !self.frames.contains_key(a)).collect();
+        let mut missing = Vec::new();
+        for &a in addrs {
+            match self.frames.get_mut(&a) {
+                Some(frame) => {
+                    self.clock += 1;
+                    frame.last_used = self.clock;
+                }
+                None => missing.push(a),
+            }
+        }
         missing.sort_unstable();
         missing.dedup();
-        let mut out = PrefetchOutcome {
+        let breaks = missing.windows(2).filter(|w| w[1] != w[0] + 1).count();
+        let out = PrefetchOutcome {
             resident: addrs.len() - missing.len(),
             fetched: missing.len(),
-            runs: 0,
+            runs: if missing.is_empty() { 0 } else { breaks + 1 },
         };
         if missing.is_empty() {
             return Ok(out);
         }
-        // Extents over runs of consecutive addresses, capped at the pool
-        // capacity.
-        let mut extents: Vec<(u64, u64)> = Vec::new();
-        let mut i = 0;
-        while i < missing.len() {
-            let mut j = i + 1;
-            while j < missing.len() && missing[j] == missing[j - 1] + 1 && j - i < self.capacity {
-                j += 1;
-            }
-            extents.push((
-                missing[i] * self.chunk_bytes as u64,
-                (j - i) as u64 * self.chunk_bytes as u64,
-            ));
-            i = j;
-        }
-        out.runs = extents.len();
-        let mut bytes = vec![0u8; missing.len() * self.chunk_bytes];
-        self.file.read_extents_into(&extents, &mut bytes)?;
+        let cb = self.chunk_bytes;
+        let mut frames: Vec<Vec<u8>> = missing.iter().map(|_| vec![0u8; cb]).collect();
+        self.file.read_pieces(
+            missing.iter().zip(&mut frames).map(|(&a, data)| (a * cb as u64, data.as_mut_slice())),
+        )?;
         self.stats.misses += missing.len() as u64;
-        for (k, &addr) in missing.iter().enumerate() {
+        for (addr, data) in missing.into_iter().zip(frames) {
             self.make_room()?;
-            let data = bytes[k * self.chunk_bytes..(k + 1) * self.chunk_bytes].to_vec();
             self.install(addr, data, false);
         }
         Ok(out)

@@ -20,7 +20,8 @@
 //!   never relocates an existing chunk — readers and writers working from
 //!   a pre-extend snapshot remain correct while the array grows.
 //! * **Chunk I/O** goes through one [`SharedChunkCache`] per array, which
-//!   merges concurrent misses into coalesced PFS reads.
+//!   fetches each request's misses with one PFS request per run of
+//!   consecutive chunks.
 //!
 //! A region request is planned with `drx-mp`'s [`ChunkPlan`] against a
 //! metadata snapshot, locked, and copied row by row ([`copy_rows`])
@@ -87,14 +88,11 @@ struct Registered {
 // lock-order: ServerArrays -> PfsStats
 // lock-order: ServerArrays -> PfsBacking
 // lock-order: ArrayMeta -> LockTable
-// lock-order: ArrayMeta -> CacheQueue
 // lock-order: ArrayMeta -> ChunkPool
 // lock-order: ArrayMeta -> PfsMeta
 // lock-order: ArrayMeta -> PfsFiles
 // lock-order: ArrayMeta -> PfsStats
 // lock-order: ArrayMeta -> PfsBacking
-// lock-order: LockTable -> CacheQueue
-// lock-order: CacheQueue -> ChunkPool
 // lock-order: ChunkPool -> PfsMeta
 // lock-order: ChunkPool -> PfsFiles
 // lock-order: ChunkPool -> PfsStats

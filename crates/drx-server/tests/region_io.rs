@@ -207,6 +207,27 @@ fn reopen_after_delete_and_recreate_sees_the_new_array() {
 }
 
 #[test]
+fn region_larger_than_the_cache_reads_each_chunk_once() {
+    // 4 × 16 f64 in 2 × 2 chunks: 16 chunks of 32 bytes, through 4 frames.
+    let pfs = Pfs::memory(2, 4096).unwrap();
+    let mut file: DrxFile<f64> = DrxFile::create(&pfs, "wide", &[2, 2], &[4, 16]).unwrap();
+    file.fill_with(|i| (i[0] * 16 + i[1]) as f64).unwrap();
+    drop(file);
+    let server = Server::new(pfs.clone(), ServerConfig { cache_chunks: 4 });
+    let mut c = Client::connect(&server);
+    let (h, _) = c.open("wide").unwrap();
+    pfs.reset_stats();
+
+    let got = c.read_region_as::<f64>(h, &[0, 0], &[4, 16]).unwrap();
+    assert_eq!(got, (0..64).map(f64::from).collect::<Vec<_>>());
+    let stat = c.stat(h).unwrap();
+    assert_eq!(stat.total_chunks, 16);
+    assert_eq!(stat.global_cache.misses, 16);
+    let read: u64 = pfs.stats().per_server.iter().map(|s| s.bytes_read).sum();
+    assert_eq!(read, 16 * 32, "each chunk's bytes are read once");
+}
+
+#[test]
 fn oversized_read_is_refused_before_any_work() {
     let pfs = Pfs::memory(2, 256).unwrap();
     let mut file: DrxFile<f64> = DrxFile::create(&pfs, "big", &[8, 8], &[64, 64]).unwrap();

@@ -22,8 +22,9 @@
 #      reads and no failures
 #  10. the self-checking examples: checkpoint/restart (writes a growing
 #      array to real disk and restarts in a fresh namespace through
-#      `ArrayStore::adopt`), and the collective writers oc_matmul
-#      (`write_region_all`) and parallel_zones (`write_my_zone`); each
+#      `ArrayStore::adopt`), the collective writers oc_matmul
+#      (`write_region_all`) and parallel_zones (`write_my_zone`), and the
+#      multi-client server demo concurrent_clients (shared cache); each
 #      checks its own results with asserts
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,8 +89,8 @@ print("perfbench", sys.argv[1], "OK:", d["attempted"], "operations")
 EOF
 done
 
-echo "==> self-checking examples (checkpoint/restart, collective writers)"
-for example in checkpoint_restart oc_matmul parallel_zones; do
+echo "==> self-checking examples (checkpoint/restart, collective writers, server)"
+for example in checkpoint_restart oc_matmul parallel_zones concurrent_clients; do
     echo "--- example $example"
     cargo run -q --release --example "$example"
 done
