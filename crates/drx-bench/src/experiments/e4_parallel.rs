@@ -125,6 +125,32 @@ mod tests {
     }
 
     #[test]
+    fn default_table_request_counts_are_pinned() {
+        // The request counts of the checked-in E4 table (EXPERIMENTS.md,
+        // docs/harness_output.txt), which are deterministic; simulated
+        // times are not (see EXPERIMENTS.md). A change that moves a count
+        // updates this list and explains the move there. Each open reads
+        // `.xmd` once (rank 0 broadcasts it), so P ranks add no metadata
+        // requests.
+        let counts: Vec<(usize, &str, u64)> =
+            measure(&Params::default()).iter().map(|r| (r.ranks, r.mode, r.requests)).collect();
+        let (ind, coll) = ("independent", "collective (two-phase)");
+        assert_eq!(
+            counts,
+            [
+                (1, ind, 9),
+                (1, coll, 5),
+                (2, ind, 9),
+                (2, coll, 9),
+                (4, ind, 33),
+                (4, coll, 9),
+                (8, ind, 33),
+                (8, coll, 9),
+            ]
+        );
+    }
+
+    #[test]
     fn zone_reads_cover_each_byte_once_independently() {
         let rows = measure(&Params {
             side: 32,

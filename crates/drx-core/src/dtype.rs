@@ -229,14 +229,25 @@ impl Element for Complex64 {
 
 /// Encode a slice of elements into little-endian bytes.
 pub fn encode_slice<T: Element>(elems: &[T]) -> Vec<u8> {
-    if let Some(bytes) = T::as_le_bytes(elems) {
-        return bytes.to_vec();
-    }
-    let mut out = Vec::with_capacity(elems.len() * T::SIZE);
-    for e in elems {
-        e.write_le(&mut out);
-    }
+    let mut out = vec![0u8; elems.len() * T::SIZE];
+    encode_into(elems, &mut out);
     out
+}
+
+/// Encode `elems` into `out` as little-endian bytes (`out` holds exactly
+/// `elems.len() * T::SIZE` bytes): [`encode_slice`] without the allocation.
+pub fn encode_into<T: Element>(elems: &[T], out: &mut [u8]) {
+    debug_assert_eq!(out.len(), elems.len() * T::SIZE);
+    if let Some(bytes) = T::as_le_bytes(elems) {
+        out.copy_from_slice(bytes);
+        return;
+    }
+    let mut tmp = Vec::with_capacity(T::SIZE);
+    for (e, slot) in elems.iter().zip(out.chunks_exact_mut(T::SIZE)) {
+        tmp.clear();
+        e.write_le(&mut tmp);
+        slot.copy_from_slice(&tmp);
+    }
 }
 
 /// Decode a little-endian byte buffer into elements.

@@ -12,7 +12,7 @@ use crate::error::{MpError, Result};
 use crate::store::ArrayStore;
 use crate::zones::DistSpec;
 use drx_core::{ArrayMeta, Element, Region};
-use drx_msg::{Comm, MsgFile};
+use drx_msg::{Comm, MsgError, MsgFile};
 use drx_pfs::Pfs;
 
 /// A process's handle on a parallel disk-resident extendible array —
@@ -53,16 +53,31 @@ impl<T: Element> DrxmpHandle<T> {
         Ok(Self::new(comm, meta, store, dist))
     }
 
-    /// Collective open (`DRXMP_Open`): every rank decodes its own replica
-    /// of the metadata file.
+    /// Collective open (`DRXMP_Open`): every rank binds the file pair,
+    /// rank 0 alone reads the metadata file and broadcasts its image, and
+    /// every rank decodes its own replica — one `.xmd` read at any rank
+    /// count, and a corrupt image fails every rank alike.
     pub fn open(comm: &Comm, pfs: &Pfs, base: &str, dist: DistSpec) -> Result<Self> {
-        let (store, meta) = ArrayStore::open(pfs, base)?;
+        let store = ArrayStore::attach(pfs, base)?;
+        let read = (comm.rank() == 0).then(|| store.meta_image());
+        // An empty image marks a failed read: `.xmd` is never empty.
+        let mine = match &read {
+            Some(Ok(image)) => image.clone(),
+            _ => Vec::new(),
+        };
+        let image = comm.bcast_bytes(0, Some(mine))?;
+        if let Some(Err(e)) = read {
+            return Err(e);
+        }
+        if image.is_empty() {
+            return Err(MsgError::PeerFailed { rank: 0 }.into());
+        }
+        let meta = ArrayMeta::decode(&image)?;
         if meta.dtype() != T::DTYPE {
             // Collective consistency: every rank fails identically.
             return Err(MpError::DTypeMismatch { file: meta.dtype(), requested: T::DTYPE });
         }
         dist.validate(meta.rank(), comm.size())?;
-        comm.barrier()?;
         Ok(Self::new(comm, meta, store, dist))
     }
 
@@ -222,6 +237,32 @@ mod tests {
             Ok(())
         })
         .unwrap();
+    }
+
+    #[test]
+    fn open_reads_the_metadata_once_at_any_rank_count() {
+        let fs = pfs();
+        run_spmd(1, |comm| {
+            let h: DrxmpHandle<f64> =
+                DrxmpHandle::create(comm, &fs, "m", &[2, 2], &[8, 8], DistSpec::block(vec![1, 1]))
+                    .map_err(to_msg)?;
+            h.close().map_err(to_msg)
+        })
+        .unwrap();
+        let open_requests = |ranks: usize| {
+            fs.reset_stats();
+            run_spmd(ranks, |comm| {
+                let dist = DistSpec::auto(comm.size(), 2);
+                let h: DrxmpHandle<f64> =
+                    DrxmpHandle::open(comm, &fs, "m", dist).map_err(to_msg)?;
+                h.close().map_err(to_msg)
+            })
+            .unwrap();
+            fs.stats().total_requests()
+        };
+        let serial = open_requests(1);
+        assert!(serial > 0, "the open reads `.xmd`");
+        assert_eq!(open_requests(4), serial, "one `.xmd` read per open, not one per rank");
     }
 
     #[test]

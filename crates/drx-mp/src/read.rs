@@ -9,23 +9,25 @@
 //! request; collective reads build an indexed file view over the chunk
 //! addresses — exactly the paper's code listing (`MPI_Type_indexed` over a
 //! contiguous chunk type, then `MPI_File_read_all`) — and go through
-//! two-phase I/O. Elements are
-//! then scattered from chunk buffers to their in-memory positions with the
-//! [`crate::kernels`] copy kernels in the requested layout order (C or
-//! FORTRAN): the on-the-fly transposition that removes the need for
-//! out-of-core transposes.
+//! two-phase I/O. Elements are scattered from chunk images to their
+//! in-memory positions with the [`crate::kernels`] copy kernels in the
+//! requested layout order (C or FORTRAN): the on-the-fly transposition
+//! that removes the need for out-of-core transposes.
 //!
-//! Independent reads and writes (here and in [`crate::DrxFile`]) never
-//! stage the whole region: [`ChunkPlan::read_windowed`] and
-//! [`ChunkPlan::write_windowed`] share one staging loop that moves the
-//! address-sorted entries one bounded window at a time — one stripe round
-//! of the file system — and runs the copy kernel on each window while it
-//! is still in cache. A write reads back only the partially covered chunks
-//! of a window. Only the collective paths hold a region-sized buffer,
-//! because two-phase I/O redistributes the aggregate request in one
-//! exchange. Collective reads fetch whole chunks; collective writes (in
-//! [`crate::write`]) name only the element rows they cover, so they need
-//! no read-back.
+//! No read or write path stages the whole region. Independent reads and
+//! writes (here and in [`crate::DrxFile`]) share one staging loop,
+//! [`ChunkPlan::read_windowed`] and [`ChunkPlan::write_windowed`], that
+//! moves the address-sorted entries one bounded window at a time — one
+//! stripe round of the file system — and runs the copy kernel on each
+//! window while it is still in cache. A write reads back only the
+//! partially covered chunks of a window. A collective read
+//! ([`ChunkPlan::read_collective`]) aligns the two-phase domains to the
+//! chunk size and scatters each piece of whole chunk images straight from
+//! the buffer it was read or received into, so its largest transient is
+//! one aggregator domain (the aggregate request over the ranks).
+//! Collective writes (in [`crate::write`]) name only the element rows they
+//! cover, so they need no read-back, and gather straight from the caller's
+//! buffer into the send buffers.
 //!
 //! [`ExtendibleShape::region_runs`]: drx_core::ExtendibleShape::region_runs
 
@@ -34,7 +36,7 @@ use crate::handle::DrxmpHandle;
 use crate::kernels;
 use drx_core::plan::ChunkRun;
 use drx_core::{ArrayMeta, Chunking, Element, Layout, Region};
-use drx_msg::Datatype;
+use drx_msg::{Datatype, MsgFile};
 use drx_pfs::PfsFile;
 use std::cell::Cell;
 use std::ops::Range;
@@ -63,7 +65,7 @@ pub struct ChunkPlan {
     /// different rows may interleave in address space).
     pub(crate) runs: Vec<ChunkRun>,
     /// `(address, run, step)` per planned chunk, sorted by address. Entry
-    /// `i` owns byte slot `i` of the plan's transfer buffer.
+    /// `i` is chunk image `i` of the plan's view and staging windows.
     pub(crate) entries: Vec<(u64, u32, u32)>,
     pub(crate) chunk_bytes: u64,
 }
@@ -116,11 +118,6 @@ impl ChunkPlan {
     /// The planned chunk addresses, strictly increasing.
     pub fn addrs(&self) -> impl Iterator<Item = u64> + '_ {
         self.entries.iter().map(|&(addr, _, _)| addr)
-    }
-
-    /// Total bytes the plan transfers.
-    pub(crate) fn bytes(&self) -> usize {
-        self.entries.len() * self.chunk_bytes as usize
     }
 
     /// Write the chunk index of entry `i` into `scratch` (no allocation
@@ -272,6 +269,27 @@ impl ChunkPlan {
         Ok(out)
     }
 
+    /// Collective read of the planned chunks: one two-phase read through
+    /// the indexed chunk view on `xta`, with aggregator domains aligned to
+    /// the chunk size so every piece is whole chunk images. `land(entries,
+    /// images)` gets each piece as it arrives — an aggregator's own share
+    /// after its read, every other share straight from the exchange — so
+    /// no buffer of the whole plan is ever built.
+    pub(crate) fn read_collective(
+        &self,
+        xta: &mut MsgFile,
+        mut land: impl FnMut(Range<usize>, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let cb = self.chunk_bytes;
+        xta.set_view(0, self.filetype()?);
+        let read = xta.read_all_with(0, self.len() as u64 * cb, cb, |pos, images: &[u8]| {
+            let first = pos / cb as usize;
+            land(first..first + images.len() / cb as usize, images)
+        });
+        xta.set_view(0, None);
+        read
+    }
+
     /// Independent write of `data`, the dense buffer of `region` in
     /// `layout` order, to the payload `file`: per window, one piece read
     /// of only the partially covered chunks straight into their staging
@@ -342,16 +360,6 @@ impl<T: Element> DrxmpHandle<T> {
         ChunkPlan::from_pairs(chunks, self.meta.chunk_bytes())
     }
 
-    /// Collective read of a plan's chunks: two-phase `read_all` through an
-    /// indexed file view, into one buffer holding every planned chunk.
-    pub(crate) fn read_plan_all(&mut self, plan: &ChunkPlan) -> Result<Vec<u8>> {
-        let mut bytes = vec![0u8; plan.bytes()];
-        self.xta.set_view(0, plan.filetype()?);
-        self.xta.read_all(0, &mut bytes)?;
-        self.xta.set_view(0, None);
-        Ok(bytes)
-    }
-
     /// Independent read of an arbitrary element region into the requested
     /// memory layout (`DRXMP_Read`).
     pub fn read_region(&mut self, region: &Region, layout: Layout) -> Result<Vec<T>> {
@@ -363,20 +371,17 @@ impl<T: Element> DrxmpHandle<T> {
     /// (possibly empty — pass `None`), and the aggregate request is serviced
     /// with two-phase I/O.
     pub fn read_region_all(&mut self, region: Option<&Region>, layout: Layout) -> Result<Vec<T>> {
-        match region {
-            Some(r) => {
-                let plan = ChunkPlan::for_region(&self.meta, r)?;
-                let bytes = self.read_plan_all(&plan)?;
-                let strides = layout.strides(&r.extents());
-                let mut out = vec![T::default(); r.volume() as usize];
-                plan.scatter(0..plan.len(), &bytes, self.meta.chunking(), r, &strides, &mut out)?;
-                Ok(out)
-            }
-            None => {
-                self.read_plan_all(&self.plan_chunks(Vec::new()))?;
-                Ok(Vec::new())
-            }
-        }
+        let Some(r) = region else {
+            self.plan_chunks(Vec::new()).read_collective(&mut self.xta, |_, _| Ok(()))?;
+            return Ok(Vec::new());
+        };
+        let plan = ChunkPlan::for_region(&self.meta, r)?;
+        let strides = layout.strides(&r.extents());
+        let mut out = vec![T::default(); r.volume() as usize];
+        plan.read_collective(&mut self.xta, |entries, images| {
+            plan.scatter(entries, images, self.meta.chunking(), r, &strides, &mut out)
+        })?;
+        Ok(out)
     }
 
     /// Collective zone read: every rank reads its own zone (clipped to the
@@ -400,18 +405,17 @@ impl<T: Element> DrxmpHandle<T> {
     /// whose zones are not rectilinear regions. Returns `(chunk index,
     /// chunk elements in row-major order)` pairs sorted by file address.
     pub fn read_my_chunks(&mut self) -> Result<Vec<(Vec<usize>, Vec<T>)>> {
-        let pairs = self.zone_chunks(self.rank())?;
-        let plan = self.plan_chunks(pairs);
-        let bytes = self.read_plan_all(&plan)?;
-        let cb = self.meta.chunk_bytes() as usize;
-        plan.into_index_addr_pairs()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (idx, _))| {
-                let vals = drx_core::dtype::decode_slice::<T>(&bytes[i * cb..(i + 1) * cb])?;
-                Ok((idx, vals))
-            })
-            .collect()
+        let plan = self.plan_chunks(self.zone_chunks(self.rank())?);
+        let cb = plan.chunk_bytes as usize;
+        let mut vals: Vec<Vec<T>> = vec![Vec::new(); plan.len()];
+        plan.read_collective(&mut self.xta, |entries, images| {
+            for (slot, image) in vals[entries].iter_mut().zip(images.chunks_exact(cb)) {
+                *slot = drx_core::dtype::decode_slice(image)?;
+            }
+            Ok(())
+        })?;
+        let indices = plan.into_index_addr_pairs().into_iter().map(|(idx, _)| idx);
+        Ok(indices.zip(vals).collect())
     }
 
     /// Read a single element directly from the file (independent; the

@@ -40,7 +40,7 @@ impl ArrayStore {
     }
 
     /// Open an existing pair without reading its metadata: for the ranks
-    /// of a parallel handle that already hold a replica.
+    /// of a parallel handle, which get their replica from rank 0.
     pub(crate) fn attach(pfs: &Pfs, base: &str) -> Result<Self> {
         Ok(ArrayStore {
             xmd: pfs.open(&format!("{base}{XMD_SUFFIX}"))?,
@@ -117,8 +117,12 @@ impl ArrayStore {
     }
 
     fn read_meta(&self) -> Result<ArrayMeta> {
-        let image = self.xmd.read_vec(0, self.xmd.len() as usize)?;
-        Ok(ArrayMeta::decode(&image)?)
+        Ok(ArrayMeta::decode(&self.meta_image()?)?)
+    }
+
+    /// The encoded `.xmd` image, as stored: one read request.
+    pub(crate) fn meta_image(&self) -> Result<Vec<u8>> {
+        Ok(self.xmd.read_vec(0, self.xmd.len() as usize)?)
     }
 }
 

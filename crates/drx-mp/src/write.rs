@@ -11,52 +11,132 @@
 //! the region's element rows inside each planned chunk, and one two-phase
 //! `write_all` moves them. Nothing is read back, and ranks writing
 //! disjoint regions that share a chunk write disjoint bytes. Overlapping
-//! regions land in an unspecified order, as in MPI-IO.
+//! regions land in an unspecified order, as in MPI-IO. The view bytes are
+//! never packed into a buffer of their own: the two-phase engine pulls
+//! each aggregator's pieces with the gather kernel straight from the
+//! caller's data (`RowView::fill`), so the largest transient is the
+//! rank's send buffers.
 
 use crate::error::{MpError, Result};
 use crate::handle::DrxmpHandle;
 use crate::kernels;
 use crate::read::{check_buffer, ChunkPlan};
-use drx_core::index::for_each_row_pair;
-use drx_core::{Element, Layout, Region};
+use drx_core::dtype::encode_into;
+use drx_core::index::{for_each_offset_pair, for_each_row_pair, row_major_unflatten};
+use drx_core::{ArrayMeta, Element, Layout, Region};
 use drx_msg::Datatype;
 
-impl<T: Element> DrxmpHandle<T> {
-    /// Collective two-phase write of `bytes` through the file view `view`;
-    /// the identity view is restored whether or not the write succeeds.
-    fn write_view_all(&mut self, view: Option<Datatype>, bytes: &[u8]) -> Result<()> {
-        self.xta.set_view(0, view);
-        let written = self.xta.write_all(0, bytes);
-        self.xta.set_view(0, None);
-        Ok(written?)
-    }
+/// The view bytes of a collective write of `region`: each covered chunk
+/// box's elements in row-major order, box after box, chunks in address
+/// order.
+struct RowView {
+    /// Each covered box with the view byte position it starts at.
+    boxes: Vec<(usize, Region)>,
+    /// Total view bytes.
+    len: usize,
+}
 
-    /// The element-row file view of a write of `region` from `data` (in
-    /// `layout` order) and the packed buffer it selects: per planned chunk
-    /// in address order, the covered box's rows inside the chunk, and its
-    /// elements in row-major order.
-    fn row_view(&self, region: &Region, layout: Layout, data: &[T]) -> Result<(Datatype, Vec<u8>)> {
-        check_buffer(region, data.len())?;
-        let plan = ChunkPlan::for_region(&self.meta, region)?;
-        let (chunking, strides) = (self.meta.chunking(), layout.strides(&region.extents()));
+impl RowView {
+    /// The element-row file view of a write of `region` — per planned
+    /// chunk, the covered box's rows inside the chunk — and its bytes.
+    fn new<T: Element>(meta: &ArrayMeta, region: &Region) -> Result<(Datatype, RowView)> {
+        let plan = ChunkPlan::for_region(meta, region)?;
+        let chunking = meta.chunking();
         let (cs, chunk_elems) = (chunking.strides(), chunking.chunk_elems() as usize);
-        let (mut lens, mut displs) = (Vec::new(), Vec::new());
-        let mut packed = vec![0u8; data.len() * T::SIZE];
-        let mut pos = 0;
+        let (mut lens, mut displs, mut boxes) = (Vec::new(), Vec::new(), Vec::new());
+        let mut len = 0;
         for (b, addr) in plan.boxes(0..plan.len(), chunking, region).zip(plan.addrs()) {
             let (chunk_box, Some(v)) = b? else { continue };
-            let block = &mut packed[pos..pos + v.volume() as usize * T::SIZE];
             let vs = Layout::C.strides(&v.extents());
-            kernels::gather_chunk(data, region.lo(), &strides, block, v.lo(), &vs, &v);
-            pos += block.len();
             // `indexed` merges adjacent rows, so a fully covered chunk is
             // one block.
             for_each_row_pair(&v, chunk_box.lo(), cs, v.lo(), &vs, |off, _, n| {
                 lens.push(n);
                 displs.push(addr as usize * chunk_elems + off as usize);
             });
+            let start = len;
+            len += v.volume() as usize * T::SIZE;
+            boxes.push((start, v));
         }
-        Ok((Datatype::indexed(&lens, &displs, &Datatype::contiguous(T::SIZE as u64))?, packed))
+        let filetype = Datatype::indexed(&lens, &displs, &Datatype::contiguous(T::SIZE as u64))?;
+        Ok((filetype, RowView { boxes, len }))
+    }
+
+    /// Fill `out` with the view bytes at view position `pos`, gathered
+    /// from `data`, the dense buffer of `region` under `strides`. A box
+    /// that `out` covers whole is one kernel call; a box cut by the piece
+    /// boundaries is copied one row segment at a time.
+    fn fill<T: Element>(
+        &self,
+        region: &Region,
+        strides: &[u64],
+        data: &[T],
+        mut pos: usize,
+        mut out: &mut [u8],
+    ) -> Result<()> {
+        let mut i = self.boxes.partition_point(|&(start, _)| start <= pos) - 1;
+        while !out.is_empty() {
+            let (start, v) = &self.boxes[i];
+            let size = v.volume() as usize * T::SIZE;
+            let take = (size - (pos - start)).min(out.len());
+            let (dst, rest) = std::mem::take(&mut out).split_at_mut(take);
+            if take == size {
+                let vs = Layout::C.strides(&v.extents());
+                kernels::gather_chunk(data, region.lo(), strides, dst, v.lo(), &vs, v);
+            } else {
+                gather_segments(data, region, strides, v, (pos - start) / T::SIZE, dst)?;
+            }
+            (pos, out, i) = (pos + take, rest, i + 1);
+        }
+        Ok(())
+    }
+}
+
+/// Gather elements `first..` of box `v` in row-major order — as many as
+/// `dst` holds — from `data`, the dense buffer of `region` under
+/// `strides`: one kernel call per row segment.
+fn gather_segments<T: Element>(
+    data: &[T],
+    region: &Region,
+    strides: &[u64],
+    v: &Region,
+    first: usize,
+    dst: &mut [u8],
+) -> Result<()> {
+    let extents = v.extents();
+    let row = extents[extents.len() - 1];
+    let (mut e, end) = (first, first + dst.len() / T::SIZE);
+    while e < end {
+        let n = (row - e % row).min(end - e);
+        let rel = row_major_unflatten(e as u64, &extents)?;
+        let lo: Vec<usize> = v.lo().iter().zip(&rel).map(|(&l, &r)| l + r).collect();
+        let mut hi: Vec<usize> = lo.iter().map(|&l| l + 1).collect();
+        hi[lo.len() - 1] = lo[lo.len() - 1] + n;
+        let seg = Region::new(lo, hi)?;
+        let at = (e - first) * T::SIZE;
+        let segment = &mut dst[at..at + n * T::SIZE];
+        let ss = Layout::C.strides(&seg.extents());
+        kernels::gather_chunk(data, region.lo(), strides, segment, seg.lo(), &ss, &seg);
+        e += n;
+    }
+    Ok(())
+}
+
+impl<T: Element> DrxmpHandle<T> {
+    /// Collective two-phase write of `len` bytes through the file view
+    /// `view`, pulled from `source`; aggregator domains align to the
+    /// element size. The identity view is restored whether or not the
+    /// write succeeds.
+    fn write_view_all(
+        &mut self,
+        view: Option<Datatype>,
+        len: usize,
+        source: impl FnMut(usize, &mut [u8]) -> Result<()>,
+    ) -> Result<()> {
+        self.xta.set_view(0, view);
+        let written = self.xta.write_all_with(0, len as u64, T::SIZE as u64, source);
+        self.xta.set_view(0, None);
+        written
     }
 
     /// Independent write of an element region from a dense buffer in the
@@ -75,11 +155,15 @@ impl<T: Element> DrxmpHandle<T> {
         region: Option<(&Region, &[T])>,
         layout: Layout,
     ) -> Result<()> {
-        let (view, packed) = match region {
-            Some((r, data)) => self.row_view(r, layout, data)?,
-            None => (Datatype::contiguous(0), Vec::new()),
+        let Some((r, data)) = region else {
+            return self.write_view_all(None, 0, |_, _| Ok(()));
         };
-        self.write_view_all(Some(view), &packed)
+        check_buffer(r, data.len())?;
+        let (filetype, view) = RowView::new::<T>(&self.meta, r)?;
+        let strides = layout.strides(&r.extents());
+        self.write_view_all(Some(filetype), view.len, |pos, out| {
+            view.fill(r, &strides, data, pos, out)
+        })
     }
 
     /// Collective zone write: every rank writes `data` into its own zone.
@@ -119,17 +203,24 @@ impl<T: Element> DrxmpHandle<T> {
             let addr = self.meta.grid().address(idx)?;
             plan_pairs.push((idx.clone(), addr));
         }
-        // Sort data along with the plan by file address.
+        // Sort the chunks by file address; the view bytes are their
+        // images in that order, encoded straight from `chunks`.
         let mut order: Vec<usize> = (0..plan_pairs.len()).collect();
         order.sort_by_key(|&i| plan_pairs[i].1);
         let sorted: Vec<(Vec<usize>, u64)> =
             order.iter().map(|&i| std::mem::take(&mut plan_pairs[i])).collect();
-        let mut bytes = Vec::with_capacity(chunks.len() * self.meta.chunk_bytes() as usize);
-        for &i in &order {
-            bytes.extend_from_slice(&drx_core::dtype::encode_slice(&chunks[i].1));
-        }
         let plan = self.plan_chunks(sorted);
-        self.write_view_all(plan.filetype()?, &bytes)
+        let cb = self.meta.chunk_bytes() as usize;
+        self.write_view_all(plan.filetype()?, order.len() * cb, |mut pos, mut out| {
+            while !out.is_empty() {
+                let vals = &chunks[order[pos / cb]].1;
+                let (first, n) = (pos % cb / T::SIZE, (cb - pos % cb).min(out.len()));
+                let (dst, rest) = std::mem::take(&mut out).split_at_mut(n);
+                encode_into(&vals[first..first + n / T::SIZE], dst);
+                (pos, out) = (pos + n, rest);
+            }
+            Ok(())
+        })
     }
 
     /// Collective read-modify-write over this rank's zone: every rank reads
@@ -139,18 +230,25 @@ impl<T: Element> DrxmpHandle<T> {
     /// it works for any distribution.
     pub fn update_my_zone(&mut self, mut f: impl FnMut(&[usize], T) -> T) -> Result<()> {
         let mut chunks = self.read_my_chunks()?;
-        let chunking = self.meta.chunking().clone();
-        let bounds = self.meta.element_bounds().to_vec();
+        let (chunking, bounds) = (self.meta.chunking(), self.meta.element_bounds());
+        let cs = chunking.strides();
+        let mut e = Vec::new();
         for (idx, vals) in &mut chunks {
-            if let Some(valid) = chunking.chunk_valid_elements(idx, &bounds)? {
-                let chunk_region = chunking.chunk_elements(idx)?;
-                for e in valid.iter() {
-                    let within: Vec<usize> =
-                        e.iter().zip(chunk_region.lo()).map(|(&a, &l)| a - l).collect();
-                    let off = chunking.within_offset(&within) as usize;
-                    vals[off] = f(&e, vals[off]);
+            let Some(valid) = chunking.chunk_valid_elements(idx, bounds)? else { continue };
+            let chunk_lo = chunking.chunk_elements(idx)?.lo().to_vec();
+            e.clear();
+            e.extend_from_slice(valid.lo());
+            for_each_offset_pair(&valid, &chunk_lo, cs, &chunk_lo, cs, |off, _| {
+                vals[off as usize] = f(&e, vals[off as usize]);
+                // Step `e` to the walk's next cell (row-major order).
+                for j in (0..e.len()).rev() {
+                    e[j] += 1;
+                    if e[j] < valid.hi()[j] {
+                        break;
+                    }
+                    e[j] = valid.lo()[j];
                 }
-            }
+            });
         }
         self.write_my_chunks(&chunks)
     }
@@ -445,6 +543,39 @@ mod tests {
                     "at {idx:?} under {:?}",
                     "dist"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn update_my_zone_applies_in_three_dimensions() {
+        // Bounds cut the edge chunks in every dimension.
+        let fs = pfs();
+        {
+            let mut f: DrxFile<i64> = DrxFile::create(&fs, "u3", &[2, 3, 2], &[5, 7, 3]).unwrap();
+            f.fill_with(tag).unwrap();
+        }
+        for dist in
+            [DistSpec::block(vec![2, 1, 1]), DistSpec::block_cyclic(vec![1, 2, 1], vec![1, 1, 1])]
+        {
+            {
+                let mut f: DrxFile<i64> = DrxFile::open(&fs, "u3").unwrap();
+                f.fill_with(tag).unwrap();
+            }
+            let fs2 = fs.clone();
+            run_spmd(2, move |comm| {
+                let mut h: DrxmpHandle<i64> =
+                    DrxmpHandle::open(comm, &fs2, "u3", dist.clone()).map_err(to_msg)?;
+                h.update_my_zone(|idx, v| v * 2 + (idx[0] * 100 + idx[1] * 10 + idx[2]) as i64)
+                    .map_err(to_msg)?;
+                h.close().map_err(to_msg)?;
+                Ok(())
+            })
+            .unwrap();
+            let f: DrxFile<i64> = DrxFile::open(&fs, "u3").unwrap();
+            for idx in f.meta().element_region().iter() {
+                let expect = tag(&idx) * 2 + (idx[0] * 100 + idx[1] * 10 + idx[2]) as i64;
+                assert_eq!(f.get(&idx).unwrap(), expect, "at {idx:?}");
             }
         }
     }

@@ -11,8 +11,17 @@
 //! contiguous local run — and data is redistributed with one all-to-all.
 //! That is the request-coalescing behaviour experiment E4 measures against
 //! independent I/O. Every rank derives every piece's position from the
-//! allgathered view extents, so the exchanged messages carry data only and
-//! each byte is copied once between the file system and its destination.
+//! allgathered view extents, so the exchanged messages carry data only.
+//!
+//! The engines, [`MsgFile::read_all_with`] and [`MsgFile::write_all_with`],
+//! meet the caller through a callback at each piece's view position: a
+//! read hands every piece to a sink where it lies — an aggregator's own
+//! share after its read, every other share in the received message — and a
+//! write pulls every piece from a source into the send buffers. A caller
+//! that keeps its data in another layout (`drx-mp`'s chunk scatter and
+//! gather kernels) therefore builds no packed copy of its request: the
+//! largest transient buffer is one aggregator domain. Domains align to a
+//! granule the caller names, so a sink never sees a split record.
 
 use crate::comm::Comm;
 use crate::datatype::Datatype;
@@ -116,116 +125,141 @@ impl MsgFile {
         Ok(())
     }
 
-    /// Collective two-phase read (`MPI_File_read_all`). Every rank must
-    /// participate; ranks may request disjoint (even empty) view ranges.
+    /// Collective two-phase read (`MPI_File_read_all`) into `buf`. Every
+    /// rank must participate; ranks may request disjoint (even empty) view
+    /// ranges. A byte-buffer front end of [`MsgFile::read_all_with`].
+    pub fn read_all(&self, data_offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.read_all_with(data_offset, buf.len() as u64, 1, |pos, piece: &[u8]| {
+            buf[pos..pos + piece.len()].copy_from_slice(piece);
+            Ok(())
+        })
+    }
+
+    /// The two-phase read engine: read `len` view bytes from logical view
+    /// offset `data_offset` and hand each piece to `sink(position, bytes)`,
+    /// where `position` is the piece's offset within those `len` bytes.
     ///
     /// Each aggregator reads the requested pieces inside its domain with
-    /// one gather call in file order: its own pieces land directly in
-    /// `buf`, every other rank's pieces in that rank's send buffer. One
-    /// all-to-all then ships the send buffers, and each received byte is
-    /// copied once, into its place in `buf`.
-    pub fn read_all(&self, data_offset: u64, buf: &mut [u8]) -> Result<()> {
-        let ranges = self.absolute(data_offset, buf.len() as u64);
-        let Some(tp) = self.exchange_ranges(&ranges)? else {
+    /// one gather call in file order, every rank's pieces (its own
+    /// included) packed into one buffer per rank. It sinks its own share
+    /// and frees it, one all-to-all ships the other buffers, and each
+    /// received message is sunk piece by piece as it stands: the sink's
+    /// copy is the only one between the file system and the caller.
+    ///
+    /// Aggregator domains start at multiples of `granule` bytes, so a
+    /// piece never splits a granule-aligned record (a chunk image, say).
+    /// Every rank must pass the same `granule`.
+    pub fn read_all_with<E: From<MsgError>>(
+        &self,
+        data_offset: u64,
+        len: u64,
+        granule: u64,
+        mut sink: impl FnMut(usize, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let ranges = self.absolute(data_offset, len);
+        let Some(tp) = self.exchange_ranges(&ranges, granule)? else {
             return Ok(()); // nobody asked for anything
         };
         let me = self.comm.rank();
         let dom = tp.domain(me);
-        // Phase 1: read my domain into `buf` and the send buffers.
+        // Phase 1: read my domain into one buffer per requesting rank.
         let mut to_each: Vec<Vec<u8>> = tp
             .ranges
             .iter()
-            .enumerate()
-            .map(|(r, rr)| {
-                let n = if r == me { 0 } else { pieces_in(rr, dom).map(|(_, _, l)| l).sum() };
-                vec![0u8; n]
-            })
+            .map(|rr| vec![0u8; pieces_in(rr, dom).map(|(_, _, l)| l).sum()])
             .collect();
         let mut pieces: Vec<(u64, &mut [u8])> = Vec::new();
-        carve(buf, pieces_in(&ranges, dom), &mut pieces);
-        for (r, out) in to_each.iter_mut().enumerate().filter(|&(r, _)| r != me) {
+        for (rr, out) in tp.ranges.iter().zip(to_each.iter_mut()) {
             let mut cursor = 0;
-            let packed = pieces_in(&tp.ranges[r], dom).map(|(abs, _, len)| {
+            let packed = pieces_in(rr, dom).map(|(abs, _, len)| {
                 cursor += len;
                 (abs, cursor - len, len)
             });
             carve(out, packed, &mut pieces);
         }
         pieces.sort_by_key(|&(abs, _)| abs);
-        let io = self.file.read_pieces(pieces);
-        // Phase 2: ship the send buffers — or, after a failed read, a
-        // failure mark, so no peer waits for data that never comes — and
-        // place what every other aggregator read for me.
+        let io = self.file.read_pieces(pieces).map_err(MsgError::from);
+        // Sink my own share before the messages arrive, and free it.
+        let own = std::mem::take(&mut to_each[me]);
+        let landed = match io {
+            Ok(()) => split_message(&ranges, dom, &own, me, |_, pos, piece| sink(pos, piece)),
+            Err(_) => Ok(()),
+        };
+        drop(own);
+        // Phase 2: ship the buffers — or, after a failed read, a failure
+        // mark, so no peer waits for data that never comes — and sink what
+        // every other aggregator read for me.
         let received = self.comm.alltoallv_unless_failed(io.is_ok().then_some(to_each))?;
         io?;
+        landed?;
         let received = received.map_err(|rank| MsgError::PeerFailed { rank })?;
-        for (agg, msg) in received.iter().enumerate().filter(|&(agg, _)| agg != me) {
-            let mut cursor = 0;
-            for (_, pos, len) in pieces_in(&ranges, tp.domain(agg)) {
-                let src = msg.get(cursor..cursor + len).ok_or_else(|| short_message(agg))?;
-                buf[pos..pos + len].copy_from_slice(src);
-                cursor += len;
-            }
-            if cursor != msg.len() {
-                return Err(short_message(agg));
-            }
+        for (agg, msg) in received.into_iter().enumerate().filter(|&(agg, _)| agg != me) {
+            split_message(&ranges, tp.domain(agg), &msg, agg, |_, pos, piece| sink(pos, piece))?;
         }
         Ok(())
     }
 
-    /// Collective two-phase write (`MPI_File_write_all`).
-    ///
-    /// Each rank sends every other aggregator the concatenation of its
-    /// pieces inside that aggregator's domain. The aggregator then writes
-    /// its domain with one gather call in file order, taking its own
-    /// pieces from `data` in place and the others' straight from the
-    /// received messages.
+    /// Collective two-phase write (`MPI_File_write_all`) of `data`. A
+    /// byte-buffer front end of [`MsgFile::write_all_with`].
     pub fn write_all(&self, data_offset: u64, data: &[u8]) -> Result<()> {
-        let ranges = self.absolute(data_offset, data.len() as u64);
-        let Some(tp) = self.exchange_ranges(&ranges)? else {
+        self.write_all_with(data_offset, data.len() as u64, 1, |pos, out: &mut [u8]| {
+            out.copy_from_slice(&data[pos..pos + out.len()]);
+            Ok(())
+        })
+    }
+
+    /// The two-phase write engine: write `len` view bytes at logical view
+    /// offset `data_offset`, pulling each piece from `source(position,
+    /// out)`, which fills `out` with the view bytes at `position` within
+    /// those `len` bytes.
+    ///
+    /// Each rank pulls its pieces inside every aggregator's domain, its
+    /// own domain included, into one send buffer per aggregator. After one
+    /// all-to-all (which hands a rank its own buffer back without a copy)
+    /// the aggregator writes its domain with one gather call in file
+    /// order, straight from the received messages. Domains align to
+    /// `granule` as in [`MsgFile::read_all_with`].
+    pub fn write_all_with<E: From<MsgError>>(
+        &self,
+        data_offset: u64,
+        len: u64,
+        granule: u64,
+        mut source: impl FnMut(usize, &mut [u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let ranges = self.absolute(data_offset, len);
+        let Some(tp) = self.exchange_ranges(&ranges, granule)? else {
             return Ok(());
         };
         let me = self.comm.rank();
-        // Phase 1: route my data pieces to the owning aggregators.
+        // Phase 1: pull my data pieces for every aggregator.
+        let mut pulled = Ok(());
         let to_each: Vec<Vec<u8>> = (0..self.comm.size())
             .map(|agg| {
-                if agg == me {
-                    return Vec::new();
-                }
                 let dom = tp.domain(agg);
-                let mut out = Vec::with_capacity(pieces_in(&ranges, dom).map(|(_, _, l)| l).sum());
+                let mut out = vec![0u8; pieces_in(&ranges, dom).map(|(_, _, l)| l).sum()];
+                let mut cursor = 0;
                 for (_, pos, len) in pieces_in(&ranges, dom) {
-                    out.extend_from_slice(&data[pos..pos + len]);
+                    if pulled.is_ok() {
+                        pulled = source(pos, &mut out[cursor..cursor + len]);
+                    }
+                    cursor += len;
                 }
                 out
             })
             .collect();
-        let received = self.comm.alltoallv_bytes(to_each)?;
+        // A rank whose source failed sends a failure mark: nobody writes.
+        let received = self.comm.alltoallv_unless_failed(pulled.is_ok().then_some(to_each))?;
+        pulled?;
+        let received = received.map_err(|rank| MsgError::PeerFailed { rank })?;
         // Phase 2: write my domain.
         let dom = tp.domain(me);
         let mut pieces: Vec<(u64, &[u8])> = Vec::new();
-        let mut io = Ok(());
-        for (r, msg) in received.iter().enumerate() {
-            if r == me {
-                pieces.extend(
-                    pieces_in(&ranges, dom).map(|(abs, pos, len)| (abs, &data[pos..pos + len])),
-                );
-                continue;
-            }
-            let mut rest = &msg[..];
-            for (abs, _, len) in pieces_in(&tp.ranges[r], dom) {
-                match rest.split_at_checked(len) {
-                    Some((piece, tail)) => {
-                        pieces.push((abs, piece));
-                        rest = tail;
-                    }
-                    None => io = Err(short_message(r)),
-                }
-            }
-            if !rest.is_empty() {
-                io = Err(short_message(r));
-            }
-        }
+        let io = received.iter().enumerate().try_for_each(|(r, msg)| {
+            split_message(&tp.ranges[r], dom, msg, r, |abs, _, piece| {
+                pieces.push((abs, piece));
+                Ok(())
+            })
+        });
         // Where ranks' pieces overlap, which lands last is unspecified (as
         // in MPI).
         pieces.sort_by_key(|&(abs, _)| abs);
@@ -235,18 +269,27 @@ impl MsgFile {
         let failed = self.comm.allgather_vec::<u64>(&[u64::from(io.is_err())])?;
         io?;
         match failed.iter().position(|f| f.first() != Some(&0)) {
-            Some(rank) => Err(MsgError::PeerFailed { rank }),
+            Some(rank) => Err(MsgError::PeerFailed { rank }.into()),
             None => Ok(()),
         }
     }
 
     /// Allgather everyone's absolute ranges and derive the aggregator
-    /// domains; `None` when all ranks requested nothing.
-    fn exchange_ranges(&self, mine: &[(u64, u64)]) -> Result<Option<TwoPhase>> {
-        let flat: Vec<u64> = mine.iter().flat_map(|&(o, l)| [o, l]).collect();
+    /// domains, aligned to `granule`; `None` when all ranks requested
+    /// nothing. Ranks that disagree on `granule` fail alike.
+    fn exchange_ranges(&self, mine: &[(u64, u64)], granule: u64) -> Result<Option<TwoPhase>> {
+        let flat: Vec<u64> =
+            std::iter::once(granule).chain(mine.iter().flat_map(|&(o, l)| [o, l])).collect();
         let all = self.comm.allgather_vec::<u64>(&flat)?;
-        let ranges: Vec<Vec<(u64, u64)>> =
-            all.into_iter().map(|v| v.chunks_exact(2).map(|c| (c[0], c[1])).collect()).collect();
+        if all.iter().any(|v| v.first() != Some(&granule)) {
+            return Err(MsgError::CollectiveMismatch(
+                "ranks disagree on the two-phase granule".into(),
+            ));
+        }
+        let ranges: Vec<Vec<(u64, u64)>> = all
+            .into_iter()
+            .map(|v| v[1..].chunks_exact(2).map(|c| (c[0], c[1])).collect())
+            .collect();
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         for &(o, l) in ranges.iter().flatten() {
@@ -258,8 +301,10 @@ impl MsgFile {
         if lo >= hi {
             return Ok(None);
         }
-        let per = (hi - lo).div_ceil(self.comm.size() as u64).max(1);
-        Ok(Some(TwoPhase { lo, hi, per, ranges }))
+        let granule = granule.max(1);
+        let lo = lo - lo % granule;
+        let per = (hi - lo).div_ceil(self.comm.size() as u64).div_ceil(granule);
+        Ok(Some(TwoPhase { lo, hi, per: per.saturating_mul(granule), ranges }))
     }
 }
 
@@ -315,6 +360,28 @@ fn carve<'b>(
         rest = tail;
         base = pos + len;
     }
+}
+
+/// Walk `msg` — the concatenation of the pieces of `ranges` inside `dom`,
+/// sent by rank `from` — handing `f` each piece's file offset, position in
+/// that rank's view, and bytes.
+fn split_message<'m, E: From<MsgError>>(
+    ranges: &[(u64, u64)],
+    dom: (u64, u64),
+    msg: &'m [u8],
+    from: usize,
+    mut f: impl FnMut(u64, usize, &'m [u8]) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    let mut rest = msg;
+    for (abs, pos, len) in pieces_in(ranges, dom) {
+        let (piece, tail) = rest.split_at_checked(len).ok_or_else(|| short_message(from))?;
+        f(abs, pos, piece)?;
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(short_message(from).into());
+    }
+    Ok(())
 }
 
 fn short_message(rank: usize) -> MsgError {
@@ -436,6 +503,82 @@ mod tests {
             for b in 0..32 {
                 assert_eq!(raw[b * 16], (b % 4) as u8 + ((b / 4) * 16) as u8);
             }
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn granule_aligned_domains_hand_the_sink_whole_records() {
+        // Two ranks read 3 and 4 interleaved 64-byte records; halving the
+        // 7-record hull by bytes would split record 3 between the two
+        // aggregators.
+        let fs = pfs();
+        let seed = fs.create("f").unwrap();
+        let pattern: Vec<u8> = (0..448u32).map(|i| (i % 251) as u8).collect();
+        seed.write_at(0, &pattern).unwrap();
+        run_spmd(2, |comm| {
+            let mut f = MsgFile::open(comm, &fs, "f", false)?;
+            let displs: Vec<usize> = (comm.rank()..7).step_by(2).collect();
+            let n = displs.len();
+            f.set_view(
+                0,
+                Some(Datatype::indexed(&vec![1; n], &displs, &Datatype::contiguous(64))?),
+            );
+            let mut got = vec![0u8; n * 64];
+            f.read_all_with(0, got.len() as u64, 64, |pos, piece: &[u8]| {
+                assert_eq!((pos % 64, piece.len() % 64), (0, 0), "a split record");
+                got[pos..pos + piece.len()].copy_from_slice(piece);
+                Ok::<_, MsgError>(())
+            })?;
+            for (i, &d) in displs.iter().enumerate() {
+                assert_eq!(&got[i * 64..(i + 1) * 64], &pattern[d * 64..(d + 1) * 64]);
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn ranks_disagreeing_on_the_granule_fail_alike() {
+        let fs = pfs();
+        run_spmd(2, |comm| {
+            let f = MsgFile::open(comm, &fs, "f", true)?;
+            let granule = 8 << comm.rank();
+            match f.write_all_with(0, 64, granule, |_, _: &mut [u8]| Ok::<_, MsgError>(())) {
+                Err(MsgError::CollectiveMismatch(_)) => Ok(()),
+                other => Err(MsgError::Invalid(format!("write_all_with: {other:?}"))),
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_failing_source_writes_nothing_anywhere() {
+        let fs = pfs();
+        run_spmd(2, |comm| {
+            let mut f = MsgFile::open(comm, &fs, "f", true)?;
+            f.write_at(comm.rank() as u64 * 100, &[0u8; 100])?;
+            let displs = [comm.rank()];
+            f.set_view(0, Some(Datatype::indexed(&[1], &displs, &Datatype::contiguous(100))?));
+            let res = f.write_all_with(0, 100, 1, |_, out: &mut [u8]| {
+                out.fill(9);
+                match comm.rank() {
+                    1 => Err(MsgError::Invalid("source failed".into())),
+                    _ => Ok(()),
+                }
+            });
+            match (comm.rank(), res) {
+                (0, Err(MsgError::PeerFailed { rank: 1 })) | (1, Err(MsgError::Invalid(_))) => {}
+                (rank, other) => {
+                    return Err(MsgError::Invalid(format!("rank {rank}: {other:?}")));
+                }
+            }
+            comm.barrier()?;
+            f.set_view(0, None);
+            let mut raw = vec![1u8; 200];
+            f.read_at(0, &mut raw)?;
+            assert!(raw.iter().all(|&b| b == 0), "a failed collective wrote");
             Ok(())
         })
         .unwrap();

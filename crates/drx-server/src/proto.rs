@@ -17,7 +17,7 @@
 
 use crate::error::{ErrorCode, Result, ServerError};
 use drx_mp::PoolStats;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Connection magic, sent by both sides before any frame.
 pub const PROTO_MAGIC: [u8; 4] = *b"DRXS";
@@ -424,13 +424,23 @@ pub fn read_handshake(r: &mut impl Read) -> Result<u32> {
 /// negotiated frame cap) fail with [`ErrorCode::FrameTooLarge`] before any
 /// bytes hit the wire — in particular a body of 4 GiB or more, whose
 /// length a `u32` prefix cannot represent, can never be silently
-/// truncated.
+/// truncated. Prefix and body go out in one vectored write, so a large
+/// body does not send its 4-byte prefix as a segment of its own.
 pub fn write_frame(w: &mut impl Write, body: &[u8], limit: usize) -> Result<()> {
     if body.len() > limit || u32::try_from(body.len()).is_err() {
         return Err(ServerError::frame_too_large(body.len(), limit));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let prefix = (body.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(body)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -584,6 +594,32 @@ mod tests {
         write_frame(&mut small, &[0u8; 64], MAX_FRAME).unwrap();
         assert!(read_frame(&mut &small[..], 16).is_err());
         assert!(read_frame(&mut &small[..], 64).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_large_frame_is_one_write() {
+        /// Accepts everything, counting the write calls that reach it.
+        struct Counting {
+            writes: usize,
+            bytes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.writes += 1;
+                let n = bufs.iter().map(|b| b.len()).sum();
+                self.bytes += n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting { writes: 0, bytes: 0 };
+        write_frame(&mut w, &[7u8; 64 * 1024], MAX_FRAME).unwrap();
+        assert_eq!((w.writes, w.bytes), (1, 4 + 64 * 1024));
     }
 
     #[test]
