@@ -3,10 +3,19 @@
 //! extendible arrays with I/O caching using the BerkeleyDB Mpool
 //! sub-system").
 //!
-//! [`ChunkPool`] caches fixed-size chunks of a [`PfsFile`] with LRU
-//! replacement, dirty tracking and write-back, and exposes hit/miss/eviction
-//! statistics. [`CachedDrxFile`] layers it under the serial array API so
-//! element accesses with locality stop paying one PFS round trip each.
+//! [`ChunkPool`] caches fixed-size chunks of a [`PfsFile`] with dirty
+//! tracking and write-back, and exposes hit/miss/eviction statistics.
+//! [`CachedDrxFile`] layers it under the serial array API so element
+//! accesses with locality stop paying one PFS round trip each.
+//!
+//! Replacement is CLOCK (second chance). The frames form a table of at most
+//! `capacity` slots, each with a reference bit that a hit sets; an index
+//! maps a resident chunk address to its slot. A miss advances one hand over
+//! the slots, clearing set bits, and takes the first slot whose bit is
+//! clear, so an eviction costs a bounded number of steps, not a scan of
+//! every frame. The slot's buffer is reused in place: once the table is
+//! full a miss allocates no chunk, and a small array never allocates more
+//! frames than it touches.
 
 use crate::error::{MpError, Result};
 use crate::read::ChunkPlan;
@@ -69,14 +78,20 @@ pub struct PrefetchOutcome {
     pub runs: usize,
 }
 
+/// One slot of the frame table.
+#[derive(Default)]
 struct Frame {
-    data: Vec<u8>,
+    /// The chunk held, or `None` while the slot is free.
+    addr: Option<u64>,
+    data: Box<[u8]>,
     dirty: bool,
-    /// LRU clock value of the most recent touch.
-    last_used: u64,
+    /// Second-chance bit: a hit sets it, the passing hand clears it.
+    referenced: bool,
+    /// Out of the hand's reach for the rest of a `prefetch`.
+    pinned: bool,
 }
 
-/// An LRU pool of fixed-size chunks over a PFS file.
+/// A CLOCK (second-chance) pool of fixed-size chunks over a PFS file.
 ///
 /// ```
 /// use drx_mp::ChunkPool;
@@ -97,13 +112,22 @@ pub struct ChunkPool {
     file: PfsFile,
     chunk_bytes: usize,
     capacity: usize,
-    frames: HashMap<u64, Frame>,
-    clock: u64,
+    /// The frame table: grows one slot per miss up to `capacity`, then
+    /// every miss reuses the buffer of the slot the hand evicts.
+    frames: Vec<Frame>,
+    /// Resident chunk address → slot.
+    index: HashMap<u64, usize>,
+    /// The next slot the clock examines.
+    hand: usize,
     stats: PoolStats,
+    /// Slots the hand has examined, to bound the cost of an eviction.
+    #[cfg(test)]
+    hand_steps: u64,
 }
 
 impl ChunkPool {
     /// Create a pool holding up to `capacity` chunks of `chunk_bytes` each.
+    /// Frame buffers are allocated as misses first need them.
     pub fn new(file: PfsFile, chunk_bytes: usize, capacity: usize) -> Result<Self> {
         if chunk_bytes == 0 || capacity == 0 {
             return Err(MpError::Invalid("chunk size and capacity must be positive".into()));
@@ -112,9 +136,12 @@ impl ChunkPool {
             file,
             chunk_bytes,
             capacity,
-            frames: HashMap::with_capacity(capacity),
-            clock: 0,
+            frames: Vec::new(),
+            index: HashMap::new(),
+            hand: 0,
             stats: PoolStats::default(),
+            #[cfg(test)]
+            hand_steps: 0,
         })
     }
 
@@ -126,17 +153,18 @@ impl ChunkPool {
         self.chunk_bytes
     }
 
-    /// Whether chunk `addr` is resident (does not touch LRU state or stats).
+    /// Whether chunk `addr` is resident (does not touch reference bits or
+    /// stats).
     pub fn contains(&self, addr: u64) -> bool {
-        self.frames.contains_key(&addr)
+        self.index.contains_key(&addr)
     }
 
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.index.is_empty()
     }
 
     pub fn stats(&self) -> PoolStats {
@@ -147,60 +175,82 @@ impl ChunkPool {
         self.stats = PoolStats::default();
     }
 
-    /// Ensure chunk `addr` is resident; fault it in (and evict the LRU
-    /// victim, writing back if dirty) as needed.
-    fn fault_in(&mut self, addr: u64) -> Result<&mut Frame> {
-        if self.frames.contains_key(&addr) {
+    fn offset(&self, addr: u64) -> u64 {
+        addr * self.chunk_bytes as u64
+    }
+
+    /// Ensure chunk `addr` is resident and return its slot; on a miss, read
+    /// it into the slot [`ChunkPool::make_room`] frees.
+    fn fault_in(&mut self, addr: u64) -> Result<usize> {
+        if let Some(&slot) = self.index.get(&addr) {
             self.stats.hits += 1;
-            self.clock += 1;
-            let frame = self.frames.get_mut(&addr).expect("checked resident");
-            frame.last_used = self.clock;
-            return Ok(frame);
+            self.frames[slot].referenced = true;
+            return Ok(slot);
         }
-        self.make_room()?;
-        let off = addr * self.chunk_bytes as u64;
-        let data = self.file.read_vec(off, self.chunk_bytes)?;
-        // The miss is recorded only once the fetch succeeded: a faulted
-        // read leaves the counters describing work that actually happened.
+        let slot = self.make_room()?;
+        // A failed read leaves the slot free, and the miss is recorded only
+        // once the fetch succeeded: the counters describe work that
+        // actually happened.
+        self.file.read_at(self.offset(addr), &mut self.frames[slot].data)?;
         self.stats.misses += 1;
-        Ok(self.install(addr, data, false))
+        self.install(slot, addr, false);
+        Ok(slot)
     }
 
-    /// Evict the least recently used frame if the pool is full.
-    fn make_room(&mut self) -> Result<()> {
+    /// Free a slot for a new chunk: a fresh one while the table is below
+    /// capacity, else the first unpinned slot the hand reaches with its
+    /// reference bit clear, clearing the bits it passes (so at most two
+    /// turns). A dirty victim is written back first.
+    fn make_room(&mut self) -> Result<usize> {
         if self.frames.len() < self.capacity {
-            return Ok(());
+            let data = vec![0u8; self.chunk_bytes].into_boxed_slice();
+            self.frames.push(Frame { data, ..Frame::default() });
+            return Ok(self.frames.len() - 1);
         }
-        let victim = self
-            .frames
-            .iter()
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(&a, _)| a)
-            .expect("a full pool is non-empty");
-        self.evict(victim)
+        for _ in 0..2 * self.capacity {
+            #[cfg(test)]
+            {
+                self.hand_steps += 1;
+            }
+            let slot = self.hand;
+            let frame = &mut self.frames[slot];
+            if !frame.pinned && !std::mem::take(&mut frame.referenced) {
+                // On a failed write-back the hand stays on the victim.
+                self.evict(slot)?;
+                self.hand = (slot + 1) % self.capacity;
+                return Ok(slot);
+            }
+            self.hand = (slot + 1) % self.capacity;
+        }
+        Err(MpError::Invalid(format!("all {} frames are pinned", self.capacity)))
     }
 
-    /// Insert a frame for a non-resident `addr` as the most recently used
-    /// (the caller made room).
-    fn install(&mut self, addr: u64, data: Vec<u8>, dirty: bool) -> &mut Frame {
-        self.clock += 1;
-        self.frames.entry(addr).or_insert(Frame { data, dirty, last_used: self.clock })
+    /// Hold chunk `addr` in `slot` (freed by the caller).
+    fn install(&mut self, slot: usize, addr: u64, dirty: bool) {
+        let frame = &mut self.frames[slot];
+        frame.addr = Some(addr);
+        frame.dirty = dirty;
+        self.index.insert(addr, slot);
     }
 
-    fn evict(&mut self, addr: u64) -> Result<()> {
+    /// Empty `slot`, writing its chunk back first if dirty.
+    fn evict(&mut self, slot: usize) -> Result<()> {
         // Trace hook for the drx-sched schedule explorer (no-op otherwise).
         #[cfg(drx_sched)]
         drx_sched::probe("mpool:evict");
-        // Write back *before* removing the frame: if the write-back fails
+        let frame = &self.frames[slot];
+        let Some(addr) = frame.addr else { return Ok(()) };
+        // Write back *before* dropping the chunk: if the write-back fails
         // (transient PFS fault, down stripe server) the dirty data must
         // stay in the pool so a later flush or retried eviction can still
-        // persist it. Remove-first silently lost the chunk on error.
-        let Some(frame) = self.frames.get(&addr) else { return Ok(()) };
+        // persist it.
         if frame.dirty {
-            self.file.write_at(addr * self.chunk_bytes as u64, &frame.data)?;
+            self.file.write_at(self.offset(addr), &frame.data)?;
             self.stats.writebacks += 1;
         }
-        self.frames.remove(&addr);
+        self.index.remove(&addr);
+        let frame = &mut self.frames[slot];
+        (frame.addr, frame.dirty) = (None, false);
         self.stats.evictions += 1;
         Ok(())
     }
@@ -210,7 +260,8 @@ impl ChunkPool {
     /// miss plus any eviction it forces. Callers copy straight out of the
     /// frame; no chunk-sized buffer is made.
     pub fn frame(&mut self, addr: u64) -> Result<&[u8]> {
-        Ok(&self.fault_in(addr)?.data)
+        let slot = self.fault_in(addr)?;
+        Ok(&self.frames[slot].data)
     }
 
     /// Borrow the image of chunk `addr` for writing and mark it dirty
@@ -222,14 +273,16 @@ impl ChunkPool {
     /// Without it, the chunk is faulted in first (read-modify-write) and
     /// counts as [`ChunkPool::write`] does.
     pub fn frame_mut(&mut self, addr: u64, overwrite: bool) -> Result<&mut [u8]> {
-        let frame = if overwrite && !self.frames.contains_key(&addr) {
-            self.make_room()?;
+        let slot = if overwrite && !self.index.contains_key(&addr) {
+            let slot = self.make_room()?;
+            self.frames[slot].data.fill(0);
             self.stats.misses += 1;
-            let data = vec![0u8; self.chunk_bytes];
-            self.install(addr, data, true)
+            self.install(slot, addr, true);
+            slot
         } else {
             self.fault_in(addr)?
         };
+        let frame = &mut self.frames[slot];
         frame.dirty = true;
         Ok(&mut frame.data)
     }
@@ -280,28 +333,25 @@ impl ChunkPool {
     }
 
     /// Fault in a batch of chunks with one scatter read straight into the
-    /// new frames. Runs of *consecutive* missing addresses become single
-    /// file extents (the PFS layer joins adjacent pieces), so N per-chunk
-    /// round trips turn into one request per run, and the PFS worker pool
-    /// services distinct runs in parallel.
+    /// frames they take over. Runs of *consecutive* missing addresses
+    /// become single file extents (the PFS layer joins adjacent pieces),
+    /// so N per-chunk round trips turn into one request per run, and the
+    /// PFS worker pool services distinct runs in parallel.
     ///
     /// Accounting: each fetched chunk counts one miss. Chunks already
     /// resident count nothing (the later [`ChunkPool::frame`] of each
-    /// records its own hit) but become the most recently used, so a batch
-    /// of at most `capacity` distinct chunks is wholly resident afterwards.
-    /// A larger batch evicts its own first chunks as the later ones are
-    /// installed: callers window their requests at `capacity`.
+    /// records its own hit). A batch of at most `capacity` distinct chunks
+    /// is pinned for the call, so it is wholly resident afterwards. A
+    /// larger batch is fetched `capacity` chunks at a time and evicts its
+    /// own first chunks: callers window their requests at `capacity`.
     pub fn prefetch(&mut self, addrs: &[u64]) -> Result<PrefetchOutcome> {
         // Trace hook for the drx-sched schedule explorer (no-op otherwise).
         #[cfg(drx_sched)]
         drx_sched::probe("mpool:prefetch");
-        let mut missing = Vec::new();
+        let (mut missing, mut resident) = (Vec::new(), Vec::new());
         for &a in addrs {
-            match self.frames.get_mut(&a) {
-                Some(frame) => {
-                    self.clock += 1;
-                    frame.last_used = self.clock;
-                }
+            match self.index.get(&a) {
+                Some(&slot) => resident.push(slot),
                 None => missing.push(a),
             }
         }
@@ -313,41 +363,82 @@ impl ChunkPool {
             fetched: missing.len(),
             runs: if missing.is_empty() { 0 } else { breaks + 1 },
         };
-        if missing.is_empty() {
-            return Ok(out);
+        resident.sort_unstable();
+        resident.dedup();
+        if resident.len() + missing.len() > self.capacity {
+            resident.clear();
         }
-        let cb = self.chunk_bytes;
-        let mut frames: Vec<Vec<u8>> = missing.iter().map(|_| vec![0u8; cb]).collect();
-        self.file.read_pieces(
-            missing.iter().zip(&mut frames).map(|(&a, data)| (a * cb as u64, data.as_mut_slice())),
-        )?;
-        self.stats.misses += missing.len() as u64;
-        for (addr, data) in missing.into_iter().zip(frames) {
-            self.make_room()?;
-            self.install(addr, data, false);
+        self.set_pinned(&resident, true);
+        let fetched = missing.chunks(self.capacity).try_for_each(|group| self.fetch(group));
+        self.set_pinned(&resident, false);
+        fetched.map(|()| out)
+    }
+
+    fn set_pinned(&mut self, slots: &[usize], pinned: bool) {
+        for &slot in slots {
+            self.frames[slot].pinned = pinned;
         }
-        Ok(out)
+    }
+
+    /// Read the sorted, non-resident chunks of `group` (at most `capacity`)
+    /// into slots freed for them, with one `read_pieces` call. On failure
+    /// the freed slots stay free and no miss is counted.
+    fn fetch(&mut self, group: &[u64]) -> Result<()> {
+        let mut slots = Vec::with_capacity(group.len());
+        let mut result = group.iter().try_for_each(|_| {
+            let slot = self.make_room()?;
+            self.frames[slot].pinned = true;
+            slots.push(slot);
+            Ok(())
+        });
+        if result.is_ok() {
+            // The buffers leave their slots for the read, so it can fill
+            // them all at once in address order; they are moved, not copied.
+            let mut bufs: Vec<Box<[u8]>> =
+                slots.iter().map(|&slot| std::mem::take(&mut self.frames[slot].data)).collect();
+            let pieces =
+                group.iter().zip(&mut bufs).map(|(&a, data)| (self.offset(a), &mut **data));
+            result = self.file.read_pieces(pieces).map_err(MpError::from);
+            for (&slot, data) in slots.iter().zip(bufs) {
+                self.frames[slot].data = data;
+            }
+        }
+        for (&slot, &addr) in slots.iter().zip(group) {
+            self.frames[slot].pinned = false;
+            if result.is_ok() {
+                self.install(slot, addr, false);
+            }
+        }
+        if result.is_ok() {
+            self.stats.misses += group.len() as u64;
+        }
+        result
     }
 
     /// Write all dirty frames back to the file (keeps them resident).
     pub fn flush(&mut self) -> Result<()> {
         // Deterministic order for reproducible I/O patterns.
-        let mut dirty: Vec<u64> =
-            self.frames.iter().filter(|(_, f)| f.dirty).map(|(&a, _)| a).collect();
+        let mut dirty: Vec<(u64, usize)> = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, f)| Some((f.addr.filter(|_| f.dirty)?, slot)))
+            .collect();
         dirty.sort_unstable();
-        for addr in dirty {
-            let frame = self.frames.get_mut(&addr).expect("listed");
-            self.file.write_at(addr * self.chunk_bytes as u64, &frame.data)?;
-            frame.dirty = false;
+        for (addr, slot) in dirty {
+            self.file.write_at(self.offset(addr), &self.frames[slot].data)?;
+            self.frames[slot].dirty = false;
             self.stats.writebacks += 1;
         }
         Ok(())
     }
 
-    /// Flush and drop every frame.
+    /// Flush and drop every frame, buffers included.
     pub fn clear(&mut self) -> Result<()> {
         self.flush()?;
         self.frames.clear();
+        self.index.clear();
+        self.hand = 0;
         Ok(())
     }
 }
@@ -492,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_writes_back_dirty_frames() {
+    fn clock_eviction_writes_back_dirty_frames() {
         let fs = pfs();
         let f = fs.create("p").unwrap();
         f.set_len(64 * 8).unwrap();
@@ -500,7 +591,7 @@ mod tests {
         pool.write(0, 0, &[7; 4]).unwrap(); // dirty chunk 0
         let mut buf = [0u8; 4];
         pool.read(1, 0, &mut buf).unwrap();
-        pool.read(2, 0, &mut buf).unwrap(); // evicts chunk 0 (LRU)
+        pool.read(2, 0, &mut buf).unwrap(); // evicts chunk 0 (bit clear, under the hand)
         let st = pool.stats();
         assert_eq!(st.evictions, 1);
         assert_eq!(st.writebacks, 1);
@@ -612,8 +703,8 @@ mod tests {
         pool.read(1, 0, &mut buf).unwrap();
         // Take server 0 (where chunk 0 lives) down.
         inj.set_down(0, true);
-        // Faulting in chunk 2 tries to evict chunk 0 (LRU, dirty); the
-        // write-back fails, and the dirty frame must survive.
+        // Faulting in chunk 2 tries to evict chunk 0 (under the hand,
+        // dirty); the write-back fails, and the dirty frame must survive.
         let err = pool.read(2, 0, &mut buf).unwrap_err();
         assert!(is_unavailable(&err), "got: {err}");
         pool.read(0, 0, &mut buf).unwrap();
@@ -638,6 +729,117 @@ mod tests {
         inj.set_down(0, false);
         pool.read(0, 0, &mut buf).unwrap();
         assert_eq!(pool.stats().misses, 1);
+    }
+
+    /// The most hand steps one miss took: a pool of `capacity` 16-byte
+    /// chunks is filled, then 1000 fresh chunks miss, each after a hit on
+    /// every chunk of a hot set held in the first slots.
+    fn max_steps_per_eviction(capacity: usize, hot: u64) -> u64 {
+        let fs = Pfs::memory(2, 4096).unwrap();
+        let f = fs.create("p").unwrap();
+        let chunks = capacity as u64 + 1000;
+        f.set_len(chunks * 16).unwrap();
+        let mut pool = ChunkPool::new(f, 16, capacity).unwrap();
+        for a in 0..capacity as u64 {
+            pool.frame(a).unwrap();
+        }
+        assert_eq!(pool.hand_steps, 0, "filling the table moves no hand");
+        let mut max = 0;
+        for a in capacity as u64..chunks {
+            for h in 0..hot {
+                pool.frame(h).unwrap();
+            }
+            let before = pool.hand_steps;
+            pool.frame(a).unwrap();
+            max = max.max(pool.hand_steps - before);
+        }
+        let st = pool.stats();
+        assert_eq!((st.evictions, st.misses), (1000, chunks));
+        max
+    }
+
+    #[test]
+    fn eviction_steps_do_not_grow_with_capacity() {
+        // The hand passes the hot set (clearing its bits) once per turn and
+        // takes the next slot: hot + 1 steps at most, whatever the capacity.
+        // A victim scan over every frame would take 65,536 steps here.
+        let small = max_steps_per_eviction(64, 8);
+        let large = max_steps_per_eviction(65_536, 8);
+        assert_eq!(small, 9);
+        assert_eq!(large, small);
+    }
+
+    #[test]
+    fn frames_grow_on_demand() {
+        let fs = pfs();
+        let f = fs.create("p").unwrap();
+        f.set_len(64 * 8).unwrap();
+        let mut pool = ChunkPool::new(f, 64, 4096).unwrap();
+        pool.prefetch(&[1, 2]).unwrap();
+        pool.frame(5).unwrap();
+        assert_eq!(pool.frames.len(), 3, "one buffer per chunk touched, not per capacity");
+        pool.clear().unwrap();
+        assert!(pool.frames.is_empty() && pool.is_empty());
+    }
+
+    #[test]
+    fn prefetch_keeps_the_whole_batch_resident() {
+        let fs = pfs();
+        let f = fs.create("p").unwrap();
+        f.set_len(64 * 16).unwrap();
+        let mut pool = ChunkPool::new(f, 64, 4).unwrap();
+        for a in (0..4).chain(0..4) {
+            pool.frame(a).unwrap(); // the second round sets every bit
+        }
+        // The hand clears all four bits and comes back to slot 0: only the
+        // pins keep chunks 0 and 1, members of the batch, from eviction.
+        let out = pool.prefetch(&[0, 1, 8, 9]).unwrap();
+        assert_eq!((out.resident, out.fetched, out.runs), (2, 2, 1));
+        for a in [0, 1, 8, 9] {
+            assert!(pool.contains(a), "batch member {a} evicted");
+        }
+        assert!(!pool.contains(2) && !pool.contains(3));
+        // A batch of exactly `capacity` new chunks is resident too.
+        let out = pool.prefetch(&[12, 5, 6, 7]).unwrap();
+        assert_eq!((out.fetched, out.runs), (4, 2));
+        assert!([5, 6, 7, 12].iter().all(|&a| pool.contains(a)));
+        assert_eq!(pool.stats().misses, 4 + 2 + 4);
+    }
+
+    #[test]
+    fn oversized_prefetch_evicts_its_own_first_chunks() {
+        let fs = pfs();
+        let f = fs.create("p").unwrap();
+        f.set_len(64 * 16).unwrap();
+        let mut pool = ChunkPool::new(f, 64, 2).unwrap();
+        let out = pool.prefetch(&[0, 1, 2, 3, 4]).unwrap();
+        assert_eq!((out.fetched, out.runs), (5, 1));
+        assert_eq!(pool.len(), 2);
+        assert!(pool.contains(4));
+        assert_eq!(pool.stats().misses, 5);
+    }
+
+    #[test]
+    fn failed_prefetch_installs_nothing_and_counts_no_miss() {
+        // 64-byte chunks on 256-byte stripes: chunks 0–3 live on server 0,
+        // chunks 4–7 on server 1.
+        let (fs, inj) = faulty_pfs();
+        let f = fs.create("p").unwrap();
+        f.set_len(64 * 8).unwrap();
+        f.write_at(0, &[3; 64]).unwrap();
+        let mut pool = ChunkPool::new(f, 64, 2).unwrap();
+        pool.prefetch(&[4, 5]).unwrap();
+        inj.set_down(0, true);
+        let err = pool.prefetch(&[0, 1]).unwrap_err();
+        assert!(is_unavailable(&err), "got: {err}");
+        assert!(!pool.contains(0) && !pool.contains(1));
+        let st = pool.stats();
+        assert_eq!((st.misses, st.evictions), (2, 2), "the victims went, no miss counted");
+        assert!(pool.is_empty());
+        inj.set_down(0, false);
+        pool.prefetch(&[0, 1]).unwrap();
+        assert_eq!(pool.stats().misses, 4);
+        assert_eq!(pool.frame(0).unwrap(), &[3; 64][..]);
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Shared chunk cache: one set of frames for every session of an array.
 //!
 //! One [`SharedChunkCache`] sits in front of each array's `.xta` payload
-//! file, wrapping a `drx_mp::ChunkPool` (the Mpool stand-in) behind one
-//! mutex so every session of the server shares one set of frames. Region
-//! I/O works on those frames in place ([`SharedChunkCache::read_frames`],
-//! [`SharedChunkCache::write_frames`]); no chunk is copied out.
+//! file, wrapping a `drx_mp::ChunkPool` (the Mpool stand-in, a CLOCK frame
+//! table) behind one mutex so every session of the server shares one set
+//! of frames. Region I/O works on those frames in place
+//! ([`SharedChunkCache::read_frames`], [`SharedChunkCache::write_frames`]);
+//! no chunk is copied out.
 //!
 //! Each call is one critical section: it faults the request's misses in
 //! with `ChunkPool::prefetch`, which reads each run of consecutive chunk
-//! addresses with a single `drx-pfs` request, then walks the frames and
-//! credits the session's counters, all under the one guard. A request
-//! larger than the cache is walked in windows of `capacity` chunks, so
-//! each chunk is fetched once. Misses of different sessions are not
-//! merged: on the `serve` workload only 0.45% of the fetching batches of
-//! a group-commit queue held two sessions' misses, while every hit paid
-//! for the queue.
+//! addresses with a single `drx-pfs` request straight into the buffers of
+//! the frames it evicts, then walks the frames and credits the session's
+//! counters, all under the one guard. A request larger than the cache is
+//! walked in windows of `capacity` chunks; the pool pins a window for its
+//! prefetch, so each chunk is fetched once. Misses of different sessions
+//! are not merged: on the `serve` workload only 0.45% of the fetching
+//! batches of a group-commit queue held two sessions' misses, while every
+//! hit paid for the queue.
 //!
 //! Statistics: the pool's cumulative counters are the *global* view; the
 //! per-session view is credited with the stat delta of each call the
@@ -35,7 +37,7 @@ struct Shared {
     pool: ChunkPool,
     /// Per-session counters.
     sessions: HashMap<u64, PoolStats>,
-    /// Non-empty prefetch calls, and the chunks they fetched.
+    /// Prefetch calls that fetched anything, and the chunks they fetched.
     batches: u64,
     batched_chunks: u64,
 }
@@ -51,14 +53,14 @@ impl Shared {
         out
     }
 
-    /// Fault the misses among `addrs` in as one batch.
+    /// Fault the misses among `addrs` in as one batch; a batch is counted
+    /// only when it fetched something.
     fn prefetch(&mut self, addrs: &[u64]) -> Result<()> {
-        if addrs.is_empty() {
-            return Ok(());
-        }
         let outcome = self.pool.prefetch(addrs)?;
-        self.batches += 1;
-        self.batched_chunks += outcome.fetched as u64;
+        if outcome.fetched > 0 {
+            self.batches += 1;
+            self.batched_chunks += outcome.fetched as u64;
+        }
         Ok(())
     }
 }
@@ -83,7 +85,7 @@ impl SharedChunkCache {
         self.chunk_bytes
     }
 
-    /// Fetch batches (non-empty prefetch calls) executed so far.
+    /// Fetch batches (prefetch calls that read at least one chunk) so far.
     pub fn coalesced_batches(&self) -> u64 {
         self.shared.lock().batches
     }
@@ -127,13 +129,15 @@ impl SharedChunkCache {
         })
     }
 
-    /// Write through the frames of `addrs` in order, under one guard:
-    /// `f(i, frame)` updates chunk `addrs[i]` in place and the frame turns
-    /// dirty (write-back). A chunk with `full[i]` is one the caller
-    /// overwrites entirely, so it is installed without I/O as
-    /// [`ChunkPool::put`] does; the others are read-modify-written, the
-    /// misses of each window of `capacity` chunks faulted in first as one
-    /// batch.
+    /// Write through the frames of `addrs`, under one guard: `f(i, frame)`
+    /// updates chunk `addrs[i]` in place and the frame turns dirty
+    /// (write-back). A chunk with `full[i]` is one the caller overwrites
+    /// entirely, so it is installed without I/O as [`ChunkPool::put`] does;
+    /// the others are read-modify-written, the misses of each window of
+    /// `capacity` chunks faulted in first as one batch. Each window visits
+    /// its read-modify-written chunks first, in order, then its full ones:
+    /// installing a full chunk may evict, and must not evict a fetched
+    /// chunk before it is written.
     ///
     /// A read-modify-write counts its read access and its write access; a
     /// full overwrite counts one access, as `put` does.
@@ -151,11 +155,13 @@ impl SharedChunkCache {
                 let partial: Vec<u64> =
                     window.iter().zip(full).filter(|&(_, &full)| !full).map(|(&a, _)| a).collect();
                 s.prefetch(&partial)?;
-                for (k, (&a, &full)) in window.iter().zip(full).enumerate() {
-                    if !full {
-                        s.pool.frame(a)?;
+                for pass in [false, true] {
+                    for (k, &a) in window.iter().enumerate().filter(|&(k, _)| full[k] == pass) {
+                        if !pass {
+                            s.pool.frame(a)?;
+                        }
+                        f(w * self.capacity + k, s.pool.frame_mut(a, pass)?);
                     }
-                    f(w * self.capacity + k, s.pool.frame_mut(a, full)?);
                 }
             }
             Ok(())
@@ -244,6 +250,36 @@ mod tests {
     }
 
     #[test]
+    fn full_chunks_of_a_window_evict_no_fetched_chunk() {
+        let (pfs, cache) = cache(16, 4);
+        cache.read_frames(1, &[4, 5, 6, 7], |_, _| ()).unwrap();
+        // Chunk 8 evicts chunk 4 after a turn of the hand that clears every
+        // bit; 6 and 7 are hit again. Chunk 5 is now the only frame with
+        // its bit clear, and the hand stands on it.
+        cache.read_frames(1, &[8], |_, _| ()).unwrap();
+        cache.read_frames(1, &[6, 7], |_, _| ()).unwrap();
+        let before = cache.global_stats();
+        pfs.reset_stats();
+        // Chunk 1 is fetched into chunk 5's slot. Three full overwrites
+        // then evict three frames: none of them may be chunk 1 before it
+        // is read-modify-written.
+        let addrs = [0, 9, 10, 1];
+        let full = [true, true, true, false];
+        cache.write_frames(1, &addrs, &full, |i, frame| frame[0] = 0xA0 + i as u8).unwrap();
+        let st = cache.global_stats();
+        assert_eq!(st.misses - before.misses, 4, "chunk 1 fetched twice: {st:?}");
+        assert_eq!(bytes_read(&pfs), CB as u64);
+        cache.flush().unwrap();
+        let file = pfs.open("payload").unwrap();
+        for (i, &a) in addrs.iter().enumerate() {
+            let chunk = file.read_vec(a * CB as u64, CB).unwrap();
+            assert_eq!(chunk[0], 0xA0 + i as u8, "chunk {a}");
+            let rest = if full[i] { 0 } else { a as u8 };
+            assert!(chunk[1..].iter().all(|&b| b == rest), "chunk {a}");
+        }
+    }
+
+    #[test]
     fn adjacent_chunks_fetch_as_one_request() {
         let (pfs, cache) = cache(16, 16);
         pfs.reset_stats();
@@ -260,6 +296,18 @@ mod tests {
         let st = cache.global_stats();
         assert_eq!(st.misses, 4);
         assert_eq!(st.hits, 4);
+    }
+
+    #[test]
+    fn all_resident_reads_count_no_batch() {
+        let (_pfs, cache) = cache(8, 8);
+        cache.read_frames(1, &[0, 1], |_, _| ()).unwrap();
+        assert_eq!((cache.coalesced_batches(), cache.batched_chunks()), (1, 2));
+        // Every chunk is resident now: the walk fetches nothing.
+        cache.read_frames(2, &[1, 0], |_, _| ()).unwrap();
+        cache.write_frames(2, &[0], &[false], |_, frame| frame[0] = 9).unwrap();
+        assert_eq!((cache.coalesced_batches(), cache.batched_chunks()), (1, 2));
+        assert_eq!(cache.global_stats().hits, 2 + 2 + 2);
     }
 
     #[test]
@@ -289,9 +337,7 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_all_see_correct_data() {
-        // Capacity comfortably above the 32-chunk file: a prefetch batch
-        // may transiently hold (resident + incoming) frames, and headroom
-        // keeps that from evicting chunks another session is about to read.
+        // Capacity above the 32-chunk file: nothing is ever evicted.
         let (pfs, cache) = cache(32, 64);
         pfs.reset_stats();
         let mut handles = Vec::new();

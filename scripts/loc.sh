@@ -65,8 +65,8 @@ def classify(path, lines):
                 depth -= 1
                 if test_depth is not None and depth == test_depth:
                     test_depth = None
-        if armed and code.strip().endswith(";") and not text.startswith("#"):
-            armed = False  # a `#[cfg(test)]` item without a body
+        if armed and code.strip().endswith((";", ",")) and not text.startswith("#"):
+            armed = False  # a `#[cfg(test)]` item or field without a body
         out.append(None if not text else (in_test, text.startswith("//")))
     return out
 
