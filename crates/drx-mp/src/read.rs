@@ -24,7 +24,10 @@
 //! ([`ChunkPlan::read_collective`]) aligns the two-phase domains to the
 //! chunk size and scatters each piece of whole chunk images straight from
 //! the buffer it was read or received into, so its largest transient is
-//! one aggregator domain (the aggregate request over the ranks).
+//! one aggregator domain (the aggregate request over the ranks). Those
+//! exchange buffers are recycled within the communicator group, so from a
+//! group's second collective on, a read's only fresh region-sized memory
+//! is the `Vec` it returns.
 //! Collective writes (in [`crate::write`]) name only the element rows they
 //! cover, so they need no read-back, and gather straight from the caller's
 //! buffer into the send buffers.

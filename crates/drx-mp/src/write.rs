@@ -15,7 +15,9 @@
 //! never packed into a buffer of their own: the two-phase engine pulls
 //! each aggregator's pieces with the gather kernel straight from the
 //! caller's data (`RowView::fill`), so the largest transient is the
-//! rank's send buffers.
+//! rank's send buffers. Those are the communicator group's recycled
+//! exchange buffers, so a group's collective writes after its first
+//! allocate no send buffer.
 
 use crate::error::{MpError, Result};
 use crate::handle::DrxmpHandle;
@@ -48,11 +50,17 @@ impl RowView {
         for (b, addr) in plan.boxes(0..plan.len(), chunking, region).zip(plan.addrs()) {
             let (chunk_box, Some(v)) = b? else { continue };
             let vs = Layout::C.strides(&v.extents());
-            // `indexed` merges adjacent rows, so a fully covered chunk is
-            // one block.
+            // Adjacent rows merge into one block, so a fully covered run of
+            // chunks is one entry, not one per row.
             for_each_row_pair(&v, chunk_box.lo(), cs, v.lo(), &vs, |off, _, n| {
-                lens.push(n);
-                displs.push(addr as usize * chunk_elems + off as usize);
+                let at = addr as usize * chunk_elems + off as usize;
+                match (lens.last_mut(), displs.last()) {
+                    (Some(last), Some(&d)) if d + *last == at => *last += n,
+                    _ => {
+                        lens.push(n);
+                        displs.push(at);
+                    }
+                }
             });
             let start = len;
             len += v.volume() as usize * T::SIZE;

@@ -2,6 +2,10 @@
 //! `read_region_all` allocates nothing as large as a rank's region except
 //! the `Vec` it returns, and `write_region_all` nothing at all.
 //!
+//! A group recycles its two-phase exchange buffers, so from its second
+//! collective on a write allocates no block of 128 KiB or more, and a read
+//! only its `Vec`.
+//!
 //! A counting global allocator notes every allocation of at least the
 //! armed size. The count is process-wide, so the cases run one at a time.
 
@@ -59,6 +63,12 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Held for a whole case, set-up included: building a file system
+/// allocates large blocks, which another case's armed count would see.
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const SIDE: usize = 256;
 const CHUNK: usize = 64;
@@ -132,7 +142,6 @@ fn grown_pfs() -> Pfs {
 }
 
 fn check(pfs: &Pfs, regions: [Region; 2]) {
-    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let region_bytes = regions[0].volume() as usize * 8;
     assert_eq!(region_bytes, regions[1].volume() as usize * 8);
     // Only each rank's returned `Vec` is region-sized.
@@ -145,6 +154,7 @@ fn check(pfs: &Pfs, regions: [Region; 2]) {
 #[test]
 fn zone_halves_stage_no_region_sized_buffer() {
     // The two zones of `DistSpec::block([2, 1])`, 256 KiB each.
+    let _one = one_at_a_time();
     check(&grown_pfs(), [region([0, 0], [128, SIDE]), region([128, 0], [SIDE, SIDE])]);
 }
 
@@ -154,6 +164,7 @@ fn a_domain_boundary_mid_chunk_stages_no_region_sized_buffer() {
     // read's hull is an odd number of chunks, so halving it by bytes
     // would cut a chunk in two; the write's row view puts its halving
     // boundary mid-chunk and mid-row.
+    let _one = one_at_a_time();
     let pfs = grown_pfs();
     let meta = DrxFile::<f64>::open(&pfs, "a").unwrap().meta().clone();
     let addrs: Vec<u64> = [1, 2]
@@ -164,4 +175,60 @@ fn a_domain_boundary_mid_chunk_stages_no_region_sized_buffer() {
     let hull = addrs.iter().max().unwrap() + 1 - addrs.iter().min().unwrap();
     assert_eq!(hull % 2, 1, "chunks {addrs:?}");
     check(&pfs, [region([64, 10], [128, 250]), region([128, 10], [192, 250])]);
+}
+
+#[test]
+fn steady_state_collectives_allocate_no_exchange_buffer() {
+    // The zone halves, each written twice and then read twice by one
+    // group: from the second call on, every exchange buffer of at least
+    // 128 KiB is one the group handed back before.
+    let _one = one_at_a_time();
+    let pfs = grown_pfs();
+    let regions = [region([0, 0], [128, SIDE]), region([128, 0], [SIDE, SIDE])];
+    let region_bytes = regions[0].volume() as usize * 8;
+    let counts = Mutex::new(Vec::new());
+    run_spmd(2, |comm| {
+        let mut h: DrxmpHandle<f64> =
+            DrxmpHandle::open(comm, &pfs, "a", DistSpec::block(vec![2, 1])).map_err(to_msg)?;
+        let region = &regions[comm.rank()];
+        // Count the large allocations of `call` on both ranks together.
+        let counted = |call: &mut dyn FnMut() -> Result<(), drx_msg::MsgError>| {
+            comm.barrier()?;
+            if comm.is_root() {
+                LARGE.store(0, Ordering::Relaxed);
+                LARGEST.store(0, Ordering::Relaxed);
+                ARMED_AT.store(128 << 10, Ordering::Relaxed);
+            }
+            comm.barrier()?;
+            call()?;
+            comm.barrier()?;
+            if comm.is_root() {
+                ARMED_AT.store(usize::MAX, Ordering::Relaxed);
+                let mut counts = counts.lock().unwrap();
+                counts.push((LARGE.load(Ordering::Relaxed), LARGEST.load(Ordering::Relaxed)));
+            }
+            comm.barrier()
+        };
+        for round in 0..2 {
+            let data: Vec<f64> = region.iter().map(|i| -tag(&i) - round as f64).collect();
+            counted(&mut || h.write_region_all(Some((region, &data)), Layout::C).map_err(to_msg))?;
+        }
+        for _ in 0..2 {
+            let mut out = Vec::new();
+            counted(&mut || {
+                out = h.read_region_all(Some(region), Layout::C).map_err(to_msg)?;
+                Ok(())
+            })?;
+            let want: Vec<f64> = region.iter().map(|i| -tag(&i) - 1.0).collect();
+            assert!(out == want, "rank {} read back", comm.rank());
+        }
+        h.close().map_err(to_msg)
+    })
+    .unwrap();
+    let counts = counts.into_inner().unwrap();
+    // The first write of a fresh group allocates its exchange buffers.
+    assert_ne!(counts[0], (0, 0), "first write_region_all");
+    assert_eq!(counts[1], (0, 0), "second write_region_all");
+    // Each read's only large allocations are the two returned `Vec`s.
+    assert_eq!(counts[3], (2, region_bytes), "second read_region_all");
 }

@@ -74,7 +74,19 @@ pub(crate) struct CommInner {
     /// Sub-communicators created from this one; poisoning cascades so no
     /// rank can block forever on a child after a peer dies.
     children: Mutex<Vec<Weak<CommInner>>>,
+    /// Exchange buffers the two-phase engines are done with, kept for the
+    /// group's next collective (messages change hands in every exchange,
+    /// so one list per group, not per rank, sees them again). A leaf
+    /// lock: held for one pick or one push, never across a call.
+    spares: Mutex<Vec<Vec<u8>>>,
 }
+
+/// Spare exchange buffers kept per rank of the group.
+const SPARES_PER_RANK: usize = 2;
+
+/// Smaller buffers are not kept: below glibc's default mmap threshold they
+/// come from the heap without page faults.
+pub(crate) const SPARE_MIN_BYTES: usize = 128 << 10;
 
 impl CommInner {
     pub(crate) fn new(size: usize) -> Arc<Self> {
@@ -91,6 +103,7 @@ impl CommInner {
             exch_cond: Condvar::new(),
             poisoned: AtomicBool::new(false),
             children: Mutex::new(Vec::new()),
+            spares: Mutex::new(Vec::new()),
         })
     }
 
@@ -168,6 +181,55 @@ impl Comm {
         } else {
             Ok(())
         }
+    }
+
+    /// An exchange buffer of `len` bytes: the group's smallest spare with
+    /// room for `len`, truncated or extended within its capacity, else a
+    /// fresh one. A reused buffer keeps its old bytes, so the caller must
+    /// overwrite every byte before anything reads or sends it.
+    pub(crate) fn take_buffer(&self, len: usize) -> Vec<u8> {
+        let spare = if len < SPARE_MIN_BYTES {
+            None
+        } else {
+            let mut spares = self.inner.spares.lock();
+            let fit = (0..spares.len())
+                .filter(|&i| spares[i].capacity() >= len)
+                .min_by_key(|&i| spares[i].capacity());
+            fit.map(|i| spares.swap_remove(i))
+        };
+        match spare {
+            Some(mut buf) => {
+                buf.resize(len, 0);
+                buf
+            }
+            None => vec![0u8; len],
+        }
+    }
+
+    /// Hand an exchange buffer back for the group's next collective. The
+    /// list keeps the `2 × size` largest buffers of at least
+    /// [`SPARE_MIN_BYTES`]; one pushed out is freed after the lock.
+    pub(crate) fn recycle_buffer(&self, buf: Vec<u8>) {
+        if buf.capacity() < SPARE_MIN_BYTES {
+            return;
+        }
+        let evicted = {
+            let mut spares = self.inner.spares.lock();
+            spares.push(buf);
+            if spares.len() > SPARES_PER_RANK * self.size() {
+                let smallest = (0..spares.len()).min_by_key(|&i| spares[i].capacity());
+                smallest.map(|i| spares.swap_remove(i))
+            } else {
+                None
+            }
+        };
+        drop(evicted);
+    }
+
+    /// The capacities of the group's spare exchange buffers.
+    #[cfg(test)]
+    pub(crate) fn spare_capacities(&self) -> Vec<usize> {
+        self.inner.spares.lock().iter().map(Vec::capacity).collect()
     }
 
     // ------------------------------------------------------------------

@@ -22,6 +22,15 @@
 //! gather kernels) therefore builds no packed copy of its request: the
 //! largest transient buffer is one aggregator domain. Domains align to a
 //! granule the caller names, so a sink never sees a split record.
+//!
+//! The exchange buffers are recycled. The engines take each per-peer
+//! buffer from a free list the communicator group shares
+//! (`Comm::take_buffer`) and hand back every buffer they are done with
+//! (`Comm::recycle_buffer`): a read its own share once sunk and each
+//! received message once sunk, a write each received message once
+//! written. Messages move between ranks by ownership, so the group's next
+//! collective finds them again, and a steady run of same-shaped
+//! collectives allocates no exchange buffer.
 
 use crate::comm::Comm;
 use crate::datatype::Datatype;
@@ -142,9 +151,10 @@ impl MsgFile {
     /// Each aggregator reads the requested pieces inside its domain with
     /// one gather call in file order, every rank's pieces (its own
     /// included) packed into one buffer per rank. It sinks its own share
-    /// and frees it, one all-to-all ships the other buffers, and each
-    /// received message is sunk piece by piece as it stands: the sink's
-    /// copy is the only one between the file system and the caller.
+    /// and recycles it, one all-to-all ships the other buffers, and each
+    /// received message is sunk piece by piece as it stands, then
+    /// recycled: the sink's copy is the only one between the file system
+    /// and the caller.
     ///
     /// Aggregator domains start at multiples of `granule` bytes, so a
     /// piece never splits a granule-aligned record (a chunk image, say).
@@ -162,11 +172,14 @@ impl MsgFile {
         };
         let me = self.comm.rank();
         let dom = tp.domain(me);
-        // Phase 1: read my domain into one buffer per requesting rank.
+        // Phase 1: read my domain into one buffer per requesting rank. The
+        // buffers may be recycled ones holding an earlier call's bytes; the
+        // pieces carved from each cover every byte, and `read_pieces`
+        // overwrites them all before a byte is sunk or sent.
         let mut to_each: Vec<Vec<u8>> = tp
             .ranges
             .iter()
-            .map(|rr| vec![0u8; pieces_in(rr, dom).map(|(_, _, l)| l).sum()])
+            .map(|rr| self.comm.take_buffer(pieces_in(rr, dom).map(|(_, _, l)| l).sum()))
             .collect();
         let mut pieces: Vec<(u64, &mut [u8])> = Vec::new();
         for (rr, out) in tp.ranges.iter().zip(to_each.iter_mut()) {
@@ -179,13 +192,13 @@ impl MsgFile {
         }
         pieces.sort_by_key(|&(abs, _)| abs);
         let io = self.file.read_pieces(pieces).map_err(MsgError::from);
-        // Sink my own share before the messages arrive, and free it.
+        // Sink my own share before the messages arrive, and hand it back.
         let own = std::mem::take(&mut to_each[me]);
         let landed = match io {
             Ok(()) => split_message(&ranges, dom, &own, me, |_, pos, piece| sink(pos, piece)),
             Err(_) => Ok(()),
         };
-        drop(own);
+        self.comm.recycle_buffer(own);
         // Phase 2: ship the buffers — or, after a failed read, a failure
         // mark, so no peer waits for data that never comes — and sink what
         // every other aggregator read for me.
@@ -195,6 +208,7 @@ impl MsgFile {
         let received = received.map_err(|rank| MsgError::PeerFailed { rank })?;
         for (agg, msg) in received.into_iter().enumerate().filter(|&(agg, _)| agg != me) {
             split_message(&ranges, tp.domain(agg), &msg, agg, |_, pos, piece| sink(pos, piece))?;
+            self.comm.recycle_buffer(msg);
         }
         Ok(())
     }
@@ -217,8 +231,8 @@ impl MsgFile {
     /// own domain included, into one send buffer per aggregator. After one
     /// all-to-all (which hands a rank its own buffer back without a copy)
     /// the aggregator writes its domain with one gather call in file
-    /// order, straight from the received messages. Domains align to
-    /// `granule` as in [`MsgFile::read_all_with`].
+    /// order, straight from the received messages, and recycles them.
+    /// Domains align to `granule` as in [`MsgFile::read_all_with`].
     pub fn write_all_with<E: From<MsgError>>(
         &self,
         data_offset: u64,
@@ -231,12 +245,16 @@ impl MsgFile {
             return Ok(());
         };
         let me = self.comm.rank();
-        // Phase 1: pull my data pieces for every aggregator.
+        // Phase 1: pull my data pieces for every aggregator. A recycled
+        // send buffer keeps an earlier call's bytes, but the pieces cover
+        // all of it and `source` fills each one; a buffer a failed source
+        // left part-filled is dropped, never sent.
         let mut pulled = Ok(());
         let to_each: Vec<Vec<u8>> = (0..self.comm.size())
             .map(|agg| {
                 let dom = tp.domain(agg);
-                let mut out = vec![0u8; pieces_in(&ranges, dom).map(|(_, _, l)| l).sum()];
+                let mut out =
+                    self.comm.take_buffer(pieces_in(&ranges, dom).map(|(_, _, l)| l).sum());
                 let mut cursor = 0;
                 for (_, pos, len) in pieces_in(&ranges, dom) {
                     if pulled.is_ok() {
@@ -264,6 +282,9 @@ impl MsgFile {
         // in MPI).
         pieces.sort_by_key(|&(abs, _)| abs);
         let io = io.and_then(|()| self.file.write_pieces(pieces).map_err(MsgError::from));
+        for msg in received {
+            self.comm.recycle_buffer(msg);
+        }
         // Settle the outcome on every rank, so a failure here fails the
         // call everywhere; also the barrier that makes the writes visible.
         let failed = self.comm.allgather_vec::<u64>(&[u64::from(io.is_err())])?;
@@ -391,6 +412,7 @@ fn short_message(rank: usize) -> MsgError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::SPARE_MIN_BYTES;
     use crate::runtime::run_spmd;
     use drx_pfs::Pfs;
 
@@ -653,6 +675,178 @@ mod tests {
             collective_reqs < independent_reqs,
             "two-phase ({collective_reqs} requests) should beat independent ({independent_reqs})"
         );
+    }
+
+    /// Records of an uneven two-rank view: rank 0 owns 5 of 11 records,
+    /// rank 1 the other 6, so the 11-record hull halves mid-record.
+    const RECORD: usize = 48 << 10;
+    const RECORDS: usize = 11;
+
+    fn records_of(rank: usize) -> Vec<usize> {
+        let zero = [0, 1, 2, 5, 8];
+        (0..RECORDS).filter(|r| zero.contains(r) == (rank == 0)).collect()
+    }
+
+    /// View bytes of `rank` in `round`, never the `0xA5` of a seeded spare.
+    fn pattern(rank: usize, round: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i + 97 * rank + 31 * round) % 160) as u8).collect()
+    }
+
+    /// Hand the group spares larger than any share, full of `0xA5`: two at
+    /// full length, two truncated so a take extends them.
+    fn seed_stale_spares(comm: &Comm) {
+        for (cap, len) in [(256 << 10, 256 << 10), (320 << 10, 320 << 10), (400 << 10, 1000)] {
+            let mut buf = vec![0xA5u8; cap];
+            buf.truncate(len);
+            comm.recycle_buffer(buf);
+        }
+        let mut buf = vec![0xA5u8; 512 << 10];
+        buf.clear();
+        comm.recycle_buffer(buf);
+    }
+
+    fn set_record_view(f: &mut MsgFile, rank: usize) -> Result<Vec<usize>> {
+        let displs = records_of(rank);
+        let ft = Datatype::indexed(
+            &vec![1; displs.len()],
+            &displs,
+            &Datatype::contiguous(RECORD as u64),
+        )?;
+        f.set_view(0, Some(ft));
+        Ok(displs)
+    }
+
+    #[test]
+    fn recycled_spares_never_leak_stale_bytes() {
+        let fs = Pfs::memory(4, 64 << 10).unwrap();
+        run_spmd(2, |comm| {
+            let me = comm.rank();
+            let mut f = MsgFile::open(comm, &fs, "f", true)?;
+            let displs = set_record_view(&mut f, me)?;
+            let len = displs.len() * RECORD;
+            for round in 0..3 {
+                comm.barrier()?;
+                if me == 0 {
+                    seed_stale_spares(comm);
+                }
+                comm.barrier()?;
+                // Byte domains (granule 1) cut record 5 in two.
+                let data = pattern(me, round, len);
+                f.write_all(0, &data)?;
+                if me == 0 {
+                    seed_stale_spares(comm);
+                }
+                comm.barrier()?;
+                // Record-aligned domains: the sink sees whole records.
+                let mut got = vec![0xFFu8; len];
+                f.read_all_with(0, len as u64, RECORD as u64, |pos, piece: &[u8]| {
+                    assert_eq!((pos % RECORD, piece.len() % RECORD), (0, 0), "a split record");
+                    got[pos..pos + piece.len()].copy_from_slice(piece);
+                    Ok::<_, MsgError>(())
+                })?;
+                assert!(got == data, "round {round}: a sink saw bytes it was not sent");
+                comm.barrier()?;
+                if me == 0 {
+                    seed_stale_spares(comm);
+                }
+                comm.barrier()?;
+                let mut got = vec![0xFFu8; len];
+                f.read_all(0, &mut got)?;
+                assert!(got == data, "round {round}: read_all saw bytes it was not sent");
+                // The file holds exactly what each rank wrote.
+                for (i, &d) in displs.iter().enumerate() {
+                    let on_file = f.file().read_vec((d * RECORD) as u64, RECORD)?;
+                    assert!(on_file == data[i * RECORD..(i + 1) * RECORD], "record {d}");
+                }
+                let spares = comm.spare_capacities();
+                assert!(spares.len() <= 4 && spares.iter().all(|&c| c >= SPARE_MIN_BYTES));
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_failed_collective_leaves_no_stale_bytes_for_the_next() {
+        use drx_pfs::fault::{Injector, Script};
+        use drx_pfs::{PfsConfig, RetryPolicy};
+        use std::sync::Arc;
+        let inj = Arc::new(Injector::new(Script::empty()));
+        let fs = Pfs::new(PfsConfig {
+            n_servers: 4,
+            stripe_size: 64 << 10,
+            injector: Some(Arc::clone(&inj)),
+            retry: RetryPolicy { base_delay_us: 1, max_delay_us: 10, ..RetryPolicy::default() },
+            ..PfsConfig::default()
+        })
+        .unwrap();
+        run_spmd(2, |comm| {
+            let me = comm.rank();
+            let mut f = MsgFile::open(comm, &fs, "f", true)?;
+            let len = set_record_view(&mut f, me)?.len() * RECORD;
+            let set_down = |down: bool| -> Result<()> {
+                comm.barrier()?;
+                if me == 0 {
+                    inj.set_down(2, down);
+                    seed_stale_spares(comm);
+                }
+                comm.barrier()
+            };
+            let first = pattern(me, 0, len);
+            f.write_all(0, &first)?;
+            // A failed read, then a good one.
+            set_down(true)?;
+            let mut got = vec![0xFFu8; len];
+            assert!(f.read_all(0, &mut got).is_err(), "read with server 2 down");
+            set_down(false)?;
+            f.read_all(0, &mut got)?;
+            assert!(got == first, "the read after a failed one");
+            // A failed write, then a good one.
+            set_down(true)?;
+            assert!(f.write_all(0, &pattern(me, 1, len)).is_err(), "write with server 2 down");
+            set_down(false)?;
+            let last = pattern(me, 2, len);
+            f.write_all(0, &last)?;
+            set_down(false)?; // fresh stale spares for the read
+            let mut got = vec![0xFFu8; len];
+            f.read_all(0, &mut got)?;
+            assert!(got == last, "the write after a failed one");
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn the_spare_list_is_bounded_and_best_fit() {
+        let comms = Comm::new_group(2);
+        let comm = &comms[0];
+        let kib = |k: usize| k << 10;
+        for k in [64, 200, 300, 1024, 150, 500, 127, 129] {
+            comm.recycle_buffer(vec![0u8; kib(k)]);
+        }
+        // At most 2 × size buffers, none under the threshold: the largest.
+        let mut spares = comm.spare_capacities();
+        spares.sort_unstable();
+        assert_eq!(spares, [kib(200), kib(300), kib(500), kib(1024)]);
+        // Best fit: the smallest spare with room, truncated in place.
+        let buf = comm.take_buffer(kib(250));
+        assert_eq!((buf.len(), buf.capacity()), (kib(250), kib(300)));
+        // A take no spare fits allocates fresh and leaves every spare as it
+        // was; so does a take below the threshold.
+        let big = comm.take_buffer(kib(2048));
+        assert_eq!(big.len(), kib(2048));
+        let small = comm.take_buffer(kib(100));
+        assert_eq!(small.len(), kib(100));
+        let mut spares = comm.spare_capacities();
+        spares.sort_unstable();
+        assert_eq!(spares, [kib(200), kib(500), kib(1024)]);
+        // Handing back more than fits pushes out the smallest.
+        comm.recycle_buffer(big);
+        comm.recycle_buffer(buf);
+        comm.recycle_buffer(small);
+        let mut spares = comm.spare_capacities();
+        spares.sort_unstable();
+        assert_eq!(spares, [kib(300), kib(500), kib(1024), kib(2048)]);
     }
 
     #[test]
