@@ -430,8 +430,12 @@ mod tests {
     #[test]
     fn slice_write_into_partial_chunks_reads_nothing() {
         // The log-append shape: one (1, 32, 32) time slice into (4, 32, 32)
-        // chunks, rank 0 writing and rank 1 passing nothing.
-        let fs = pfs();
+        // chunks, rank 0 writing and rank 1 passing nothing, over `zones`'
+        // file system: 8 servers, 64 KiB stripe. The 8 KiB slice lies
+        // inside one stripe unit, so one aggregator owns all of it and its
+        // server sees one request; byte domains would halve it into two
+        // requests queued on that server.
+        let fs = Pfs::memory(8, 64 << 10).unwrap();
         run_spmd(2, |comm| {
             let mut h: DrxmpHandle<f64> = DrxmpHandle::create(
                 comm,
@@ -456,6 +460,7 @@ mod tests {
                 assert_eq!(stats.iter().map(|s| s.read_requests).sum::<u64>(), 0);
                 let written: u64 = stats.iter().map(|s| s.bytes_written).sum();
                 assert_eq!(written, 32 * 32 * 8, "exactly the slice's bytes");
+                assert_eq!(fs.stats().total_requests(), 1, "one request for one stripe unit");
             }
             comm.barrier()?;
             let back = h.read_region(&slice, Layout::C).map_err(to_msg)?;

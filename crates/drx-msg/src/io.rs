@@ -21,7 +21,9 @@
 //! that keeps its data in another layout (`drx-mp`'s chunk scatter and
 //! gather kernels) therefore builds no packed copy of its request: the
 //! largest transient buffer is one aggregator domain. Domains align to a
-//! granule the caller names, so a sink never sees a split record.
+//! granule the caller names, so a sink never sees a split record, and to
+//! the file's stripe unit, so two aggregators never queue requests for
+//! one stripe unit on its server (ROMIO's stripe-aligned file domains).
 //!
 //! The exchange buffers are recycled. The engines take each per-peer
 //! buffer from a free list the communicator group shares
@@ -157,8 +159,9 @@ impl MsgFile {
     /// and the caller.
     ///
     /// Aggregator domains start at multiples of `granule` bytes, so a
-    /// piece never splits a granule-aligned record (a chunk image, say).
-    /// Every rank must pass the same `granule`.
+    /// piece never splits a granule-aligned record (a chunk image, say),
+    /// and of the stripe size, so no server request is split between two
+    /// aggregators. Every rank must pass the same `granule`.
     pub fn read_all_with<E: From<MsgError>>(
         &self,
         data_offset: u64,
@@ -296,8 +299,11 @@ impl MsgFile {
     }
 
     /// Allgather everyone's absolute ranges and derive the aggregator
-    /// domains, aligned to `granule`; `None` when all ranks requested
-    /// nothing. Ranks that disagree on `granule` fail alike.
+    /// domains, aligned to both `granule` and the stripe unit: their least
+    /// common multiple. A domain then holds whole records for the sink,
+    /// and no stripe unit — so no server request — is split between two
+    /// aggregators. `None` when all ranks requested nothing. Ranks that
+    /// disagree on `granule` fail alike.
     fn exchange_ranges(&self, mine: &[(u64, u64)], granule: u64) -> Result<Option<TwoPhase>> {
         let flat: Vec<u64> =
             std::iter::once(granule).chain(mine.iter().flat_map(|&(o, l)| [o, l])).collect();
@@ -322,11 +328,21 @@ impl MsgFile {
         if lo >= hi {
             return Ok(None);
         }
-        let granule = granule.max(1);
-        let lo = lo - lo % granule;
-        let per = (hi - lo).div_ceil(self.comm.size() as u64).div_ceil(granule);
-        Ok(Some(TwoPhase { lo, hi, per: per.saturating_mul(granule), ranges }))
+        let align = lcm(granule.max(1), self.file.stripe_size().max(1));
+        let lo = lo - lo % align;
+        let per = (hi - lo).div_ceil(self.comm.size() as u64).div_ceil(align);
+        Ok(Some(TwoPhase { lo, hi, per: per.saturating_mul(align), ranges }))
     }
+}
+
+/// Least common multiple of two positive numbers, saturating at
+/// `u64::MAX` (one domain then spans the whole hull).
+fn lcm(a: u64, b: u64) -> u64 {
+    let (mut x, mut y) = (a, b);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    (a / x).saturating_mul(b)
 }
 
 /// Everyone's view extents and the aggregator domains they imply. Every
@@ -730,7 +746,8 @@ mod tests {
                     seed_stale_spares(comm);
                 }
                 comm.barrier()?;
-                // Byte domains (granule 1) cut record 5 in two.
+                // Byte domains (granule 1) align to the 64 KiB stripe
+                // only, and cut record 6 in two.
                 let data = pattern(me, round, len);
                 f.write_all(0, &data)?;
                 if me == 0 {
@@ -883,5 +900,85 @@ mod tests {
             Ok(())
         })
         .unwrap();
+    }
+
+    /// Rank `rank`'s view over blocks of `block` bytes: the blocks
+    /// `owners` gives it (an owner past the last rank is a hole).
+    fn owned_view(owners: &[usize], rank: usize, block: u64) -> Option<Datatype> {
+        let displs: Vec<usize> = (0..owners.len()).filter(|&b| owners[b] == rank).collect();
+        let n = displs.len();
+        (n > 0).then(|| Datatype::indexed(&vec![1; n], &displs, &Datatype::contiguous(block)))?.ok()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Domain bounds are multiples of `lcm(granule, stripe)` (a domain
+        /// may end at the hull's end instead), no stripe unit lies in two
+        /// non-empty domains, the source and sink see whole records, and
+        /// what is written reads back exactly, collectively and not.
+        #[test]
+        fn domains_align_to_records_and_stripe_units(
+            ranks in 1usize..5,
+            stripe in 1u64..200,
+            servers in 1usize..5,
+            workers in 1usize..3,
+            kind in 0usize..3,
+            chunk in 1u64..13,
+            blocks_per in 1u64..6,
+            disp_granules in 0u64..4,
+            owners in proptest::prelude::prop::collection::vec(0usize..5, 1..24),
+        ) {
+            let granule = [1, 8, 8 * chunk][kind];
+            let block = granule * blocks_per;
+            let fs = Pfs::new(drx_pfs::PfsConfig {
+                n_servers: servers,
+                stripe_size: stripe,
+                io_workers: workers,
+                ..drx_pfs::PfsConfig::default()
+            })
+            .unwrap();
+            run_spmd(ranks, |comm| {
+                let me = comm.rank();
+                let mut f = MsgFile::open(comm, &fs, "f", true)?;
+                let ft = owned_view(&owners, me, block);
+                let len = ft.as_ref().map_or(0, |t| t.size() as usize);
+                f.set_view(disp_granules * granule, ft);
+                let data = pattern(me, 0, len);
+                let whole = |pos: usize, n: usize| {
+                    assert_eq!((pos as u64 % granule, n as u64 % granule), (0, 0), "a split record");
+                };
+                f.write_all_with(0, len as u64, granule, |pos, out: &mut [u8]| {
+                    whole(pos, out.len());
+                    out.copy_from_slice(&data[pos..pos + out.len()]);
+                    Ok::<_, MsgError>(())
+                })?;
+                if let Some(tp) = f.exchange_ranges(&f.absolute(0, len as u64), granule)? {
+                    // The least common multiple, found by counting up.
+                    let align = (1..).map(|k| k * granule).find(|m| m % stripe == 0).unwrap();
+                    let doms: Vec<(u64, u64)> =
+                        (0..ranks).map(|a| tp.domain(a)).filter(|d| d.0 < d.1).collect();
+                    for (i, &(lo, hi)) in doms.iter().enumerate() {
+                        assert_eq!(lo % align, 0, "domain {lo}..{hi}, align {align}");
+                        assert!(hi % align == 0 || hi == tp.hi, "domain {lo}..{hi}");
+                        if let Some(&(next, _)) = doms.get(i + 1) {
+                            assert!((hi - 1) / stripe < next / stripe, "a shared stripe unit");
+                        }
+                    }
+                }
+                let mut got = vec![0xFFu8; len];
+                f.read_all_with(0, len as u64, granule, |pos, piece: &[u8]| {
+                    whole(pos, piece.len());
+                    got[pos..pos + piece.len()].copy_from_slice(piece);
+                    Ok::<_, MsgError>(())
+                })?;
+                assert!(got == data, "collective read-back");
+                let mut got = vec![0xFFu8; len];
+                f.read_at(0, &mut got)?;
+                assert!(got == data, "independent read-back");
+                Ok(())
+            })
+            .unwrap();
+        }
     }
 }

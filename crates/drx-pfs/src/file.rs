@@ -28,7 +28,9 @@ pub struct PfsConfig {
     /// Scripted fault injector wrapped around every server's storage
     /// (`None` = no injection).
     pub injector: Option<Arc<Injector>>,
-    /// Client-side I/O worker threads for vectored requests. `1` issues
+    /// Client-side I/O workers for vectored requests: the most server
+    /// requests one call keeps in flight. The calling thread is one of
+    /// them, so `n` workers spawn `n − 1` threads per call. `1` issues
     /// fragments sequentially; larger values overlap requests to distinct
     /// servers. Forced to `1` whenever a fault injector is armed so
     /// scripted replays keep a deterministic request order.
@@ -380,6 +382,12 @@ impl PfsFile {
             let _ = self.inner.servers[frag.server].set_len(&self.name, frag.local_offset);
         }
         Ok(())
+    }
+
+    /// Bytes in one stripe unit: the file is dealt to the servers in
+    /// units of this size, so a range inside one unit is one server's.
+    pub fn stripe_size(&self) -> u64 {
+        self.inner.map.stripe_size()
     }
 
     /// Bytes in one stripe round, `n_servers × stripe_size`: the span

@@ -13,7 +13,9 @@
 //! the pool keeps one queue per server and hands workers jobs from distinct
 //! servers round-robin — the client-side counterpart of the paper's striped
 //! I/O servers, where aggregate bandwidth comes from hitting many servers
-//! at once.
+//! at once. The calling thread is one of the workers: a call with `n`
+//! workers spawns `n − 1` scoped threads and pulls jobs itself until the
+//! queues run dry, so a spawn is paid only for the overlap it buys.
 //!
 //! The queue lock is never held across a storage call, and the pool is
 //! bypassed entirely when the file system was configured with one worker
@@ -222,8 +224,10 @@ fn run_one<B: Piece>(
     retry.run(|| B::issue(server, name, job.local_offset, &mut job.bufs))
 }
 
-/// Execute `jobs` with up to `workers` threads; with one worker (or one
-/// job) they run inline on the caller's thread, see [`run_inline`].
+/// Execute `jobs` with up to `workers` threads, the caller's among them:
+/// `workers − 1` scoped threads join the caller in pulling from one
+/// dispenser. With one worker (or one job) they run inline on the caller's
+/// thread, see [`run_inline`].
 pub(crate) fn run_jobs<B: Piece>(
     servers: &[Arc<IoServer>],
     retry: &RetryPolicy,
@@ -236,16 +240,18 @@ pub(crate) fn run_jobs<B: Piece>(
         return run_inline(servers, retry, name, jobs);
     }
     let disp = Dispenser::new(servers.len(), jobs);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(job) = disp.next() {
-                    if let Err(e) = run_one(servers, retry, name, job) {
-                        disp.fail(e);
-                    }
-                }
-            });
+    let work = || {
+        while let Some(job) = disp.next() {
+            if let Err(e) = run_one(servers, retry, name, job) {
+                disp.fail(e);
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     disp.into_result()
 }
@@ -350,6 +356,88 @@ mod tests {
             runs,
             vec![(0, 0, 20, vec![0, 20]), (1, 0, 20, vec![10, 30]), (0, 0, 5, vec![0])]
         );
+    }
+
+    /// A test request that records the thread issuing it, then runs `act`.
+    #[derive(Clone, Copy)]
+    struct Probe<'a> {
+        seen: &'a Mutex<Vec<std::thread::ThreadId>>,
+        act: &'a (dyn Fn() -> Result<()> + Sync),
+    }
+
+    impl Piece for Probe<'_> {
+        fn len(&self) -> usize {
+            1
+        }
+
+        fn split(self, _at: usize) -> (Self, Self) {
+            (self, self)
+        }
+
+        fn step(
+            &mut self,
+            s: &IoServer,
+            name: &str,
+            _: (u64, u64),
+            _: bool,
+            pos: u64,
+        ) -> Result<()> {
+            Self::issue(s, name, pos, std::slice::from_mut(self))
+        }
+
+        fn issue(_: &IoServer, _: &str, _: u64, bufs: &mut [Self]) -> Result<()> {
+            for b in bufs {
+                b.seen.lock().push(std::thread::current().id());
+                (b.act)()?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Every request waits for a second thread's, so two threads must
+        // issue them; with two workers the caller's has to be one.
+        let meet = std::sync::Barrier::new(2);
+        let act = || {
+            meet.wait();
+            Ok(())
+        };
+        let seen = Mutex::new(Vec::new());
+        let jobs = (0..6).map(|i| job(i % 3, 0, Probe { seen: &seen, act: &act })).collect();
+        run_jobs(&servers(3), &RetryPolicy::none(), "f", jobs, 2).unwrap();
+        let threads = seen.into_inner();
+        assert_eq!(threads.len(), 6, "every job ran");
+        assert!(threads.contains(&std::thread::current().id()), "the caller ran no job");
+        let distinct: std::collections::HashSet<_> = threads.into_iter().collect();
+        assert_eq!(distinct.len(), 2, "more threads than workers");
+    }
+
+    #[test]
+    fn a_failure_on_the_callers_thread_aborts_the_queue() {
+        // The caller's requests fail; a spawned worker's wait for word that
+        // one has, so the caller is sure to pull a job while the queue is
+        // full.
+        let caller = std::thread::current().id();
+        let failed = std::sync::atomic::AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let act = || {
+            if std::thread::current().id() == caller {
+                failed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let _ = tx.send(());
+                return Err(PfsError::Unavailable { server: 7 });
+            }
+            let _ = rx.lock().recv_timeout(std::time::Duration::from_secs(5));
+            Ok(())
+        };
+        let seen = Mutex::new(Vec::new());
+        let jobs = (0..8).map(|i| job(i % 4, 0, Probe { seen: &seen, act: &act })).collect();
+        let res = run_jobs(&servers(4), &RetryPolicy::none(), "f", jobs, 2);
+        assert!(matches!(res, Err(PfsError::Unavailable { server: 7 })), "{res:?}");
+        assert_eq!(failed.into_inner(), 1, "the caller ran one job, then stopped");
+        let ran = seen.into_inner();
+        assert!(ran.contains(&caller) && ran.len() <= 2, "the queue ran on: {} jobs", ran.len());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 #   8. bench smoke: a tiny harness run that must emit valid JSON and prove
 #      the memcpy fast path is actually taken (kernel counters)
 #   9. end-to-end benchmark checks: perfbench's --selftest (every workload
-#      must detect a planted corrupt chunk) and 5-second untraced `bulk`,
+#      must detect a planted corrupt chunk), 5-second untraced `bulk`,
 #      `serve` and `zones` runs whose result lines must report correct
-#      reads and no failures
+#      reads and no failures, and the unit tests of scripts/ab.sh's
+#      statistics
 #  10. the self-checking examples: checkpoint/restart (writes a growing
 #      array to real disk and restarts in a fresh namespace through
 #      `ArrayStore::adopt`), the collective writers oc_matmul
@@ -88,6 +89,8 @@ assert d["failed"] == 0, d
 print("perfbench", sys.argv[1], "OK:", d["attempted"], "operations")
 EOF
 done
+
+python3 scripts/ab_stats.py test
 
 echo "==> self-checking examples (checkpoint/restart, collective writers, server)"
 for example in checkpoint_restart oc_matmul parallel_zones concurrent_clients; do
