@@ -21,9 +21,10 @@
 //! that keeps its data in another layout (`drx-mp`'s chunk scatter and
 //! gather kernels) therefore builds no packed copy of its request: the
 //! largest transient buffer is one aggregator domain. Domains align to a
-//! granule the caller names, so a sink never sees a split record, and to
-//! the file's stripe unit, so two aggregators never queue requests for
-//! one stripe unit on its server (ROMIO's stripe-aligned file domains).
+//! granule the caller names, so a sink never sees a split record, and,
+//! where that does not cost the domains their balance, to the file's
+//! stripe unit, so two aggregators never queue requests for one stripe
+//! unit on its server (ROMIO's stripe-aligned file domains).
 //!
 //! The exchange buffers are recycled. The engines take each per-peer
 //! buffer from a free list the communicator group shares
@@ -160,8 +161,9 @@ impl MsgFile {
     ///
     /// Aggregator domains start at multiples of `granule` bytes, so a
     /// piece never splits a granule-aligned record (a chunk image, say),
-    /// and of the stripe size, so no server request is split between two
-    /// aggregators. Every rank must pass the same `granule`.
+    /// and, unless that would unbalance them, of the stripe size, so no
+    /// server request is split between two aggregators. Every rank must
+    /// pass the same `granule`.
     pub fn read_all_with<E: From<MsgError>>(
         &self,
         data_offset: u64,
@@ -299,11 +301,11 @@ impl MsgFile {
     }
 
     /// Allgather everyone's absolute ranges and derive the aggregator
-    /// domains, aligned to both `granule` and the stripe unit: their least
-    /// common multiple. A domain then holds whole records for the sink,
-    /// and no stripe unit — so no server request — is split between two
-    /// aggregators. `None` when all ranks requested nothing. Ranks that
-    /// disagree on `granule` fail alike.
+    /// domains, aligned to `granule` and, where [`domain_grid`] finds it
+    /// cheap, the stripe unit. A domain then holds whole records for the
+    /// sink, and no stripe unit — so no server request — is split between
+    /// two aggregators. `None` when all ranks requested nothing. Ranks
+    /// that disagree on `granule` fail alike.
     fn exchange_ranges(&self, mine: &[(u64, u64)], granule: u64) -> Result<Option<TwoPhase>> {
         let flat: Vec<u64> =
             std::iter::once(granule).chain(mine.iter().flat_map(|&(o, l)| [o, l])).collect();
@@ -328,10 +330,30 @@ impl MsgFile {
         if lo >= hi {
             return Ok(None);
         }
-        let align = lcm(granule.max(1), self.file.stripe_size().max(1));
+        let (lo, per) = domain_grid(lo, hi, self.comm.size(), granule, self.file.stripe_size());
+        Ok(Some(TwoPhase { lo, hi, per, ranges }))
+    }
+}
+
+/// The start and size of `ranks` aggregator domains over the hull
+/// `lo..hi`, both multiples of `lcm(granule, stripe)` when that costs a
+/// domain at most one stripe unit or one even share of the hull more than
+/// granule alignment does, else of `granule` alone. A 100×100 `f64` chunk
+/// image (80 000 B) on a 64 KiB stripe has an lcm of about 40 MiB, which
+/// would hand any smaller collective wholly to one aggregator; such a
+/// collective keeps record-aligned domains and may split a stripe unit.
+fn domain_grid(lo: u64, hi: u64, ranks: usize, granule: u64, stripe: u64) -> (u64, u64) {
+    let split = |align: u64| {
         let lo = lo - lo % align;
-        let per = (hi - lo).div_ceil(self.comm.size() as u64).div_ceil(align);
-        Ok(Some(TwoPhase { lo, hi, per: per.saturating_mul(align), ranges }))
+        (lo, (hi - lo).div_ceil(ranks as u64).div_ceil(align).saturating_mul(align))
+    };
+    let granule = granule.max(1);
+    let both = lcm(granule, stripe.max(1));
+    let (glo, share) = split(granule);
+    if both <= stripe.max(share) {
+        split(both)
+    } else {
+        (glo, share)
     }
 }
 
@@ -902,6 +924,18 @@ mod tests {
         .unwrap();
     }
 
+    #[test]
+    fn a_record_sharing_few_factors_with_the_stripe_keeps_domains_balanced() {
+        // A 100×100 f64 chunk image on a 64 KiB stripe: the lcm is about
+        // 40 MiB, so stripe alignment would hand four chunks to one
+        // aggregator. Record alignment gives each of four aggregators one.
+        assert_eq!(domain_grid(80_000, 400_000, 4, 80_000, 64 << 10), (80_000, 80_000));
+        // A record that divides the stripe keeps stripe-aligned domains
+        // even when one stripe unit is more than an even share.
+        assert_eq!(domain_grid(0, 8 << 10, 2, 8, 64 << 10), (0, 64 << 10));
+        assert_eq!(domain_grid(0, 8 << 10, 2, 8, 256), (0, 4 << 10));
+    }
+
     /// Rank `rank`'s view over blocks of `block` bytes: the blocks
     /// `owners` gives it (an owner past the last rank is a hole).
     fn owned_view(owners: &[usize], rank: usize, block: u64) -> Option<Datatype> {
@@ -913,9 +947,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// Domain bounds are multiples of `lcm(granule, stripe)` (a domain
-        /// may end at the hull's end instead), no stripe unit lies in two
-        /// non-empty domains, the source and sink see whole records, and
+        /// Domain bounds are multiples of `lcm(granule, stripe)` and no
+        /// stripe unit lies in two non-empty domains when that lcm is at
+        /// most a stripe unit or an even share of the hull; otherwise the
+        /// bounds are multiples of `granule` and as many domains are
+        /// non-empty as record alignment gives (a domain may end at the
+        /// hull's end instead). The source and sink see whole records, and
         /// what is written reads back exactly, collectively and not.
         #[test]
         fn domains_align_to_records_and_stripe_units(
@@ -954,16 +991,26 @@ mod tests {
                     Ok::<_, MsgError>(())
                 })?;
                 if let Some(tp) = f.exchange_ranges(&f.absolute(0, len as u64), granule)? {
-                    // The least common multiple, found by counting up.
-                    let align = (1..).map(|k| k * granule).find(|m| m % stripe == 0).unwrap();
+                    // The least common multiple, found by counting up, and
+                    // the even share of the granule-aligned hull.
+                    let both = (1..).map(|k| k * granule).find(|m| m % stripe == 0).unwrap();
+                    let lo = tp.ranges.iter().flatten().filter(|r| r.1 > 0).map(|r| r.0).min();
+                    let lo = lo.unwrap() / granule * granule;
+                    let share = (tp.hi - lo).div_ceil(ranks as u64).div_ceil(granule) * granule;
+                    let striped = both <= stripe.max(share);
+                    let align = if striped { both } else { granule };
                     let doms: Vec<(u64, u64)> =
                         (0..ranks).map(|a| tp.domain(a)).filter(|d| d.0 < d.1).collect();
                     for (i, &(lo, hi)) in doms.iter().enumerate() {
                         assert_eq!(lo % align, 0, "domain {lo}..{hi}, align {align}");
                         assert!(hi % align == 0 || hi == tp.hi, "domain {lo}..{hi}");
-                        if let Some(&(next, _)) = doms.get(i + 1) {
+                        if let (true, Some(&(next, _))) = (striped, doms.get(i + 1)) {
                             assert!((hi - 1) / stripe < next / stripe, "a shared stripe unit");
                         }
+                    }
+                    if !striped {
+                        // As many aggregators work as with record alignment.
+                        assert_eq!(doms.len() as u64, (tp.hi - lo).div_ceil(share));
                     }
                 }
                 let mut got = vec![0xFFu8; len];
