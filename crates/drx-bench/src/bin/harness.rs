@@ -1,28 +1,31 @@
-//! Run the evaluation experiments E1–E10 and print their tables — the data
+//! Run the evaluation experiments E1–E9 and print their tables — the data
 //! recorded in EXPERIMENTS.md.
 //!
-//! Usage: `harness [e1..e10]...` (default: all). Add
-//! `--quick` for reduced iteration counts (used in smoke tests) and
-//! `--json [PATH]` to serialize the E10 fast-path measurements
-//! (default path: `BENCH_PR4.json`).
+//! Usage: `harness [--quick] [e1..e9]...` (default: all). `--quick` runs
+//! reduced iteration counts. Any other argument prints the usage line and
+//! exits 2.
 
 use drx_bench::experiments::{
-    e10_fastpath, e1_mapping, e2_extension, e3_access_order, e4_parallel, e5_chunk_stripe, e6_ga,
-    e7_ablation, e8_cache, e9_balance,
+    e1_mapping, e2_extension, e3_access_order, e4_parallel, e5_chunk_stripe, e6_ga, e7_ablation,
+    e8_cache, e9_balance,
 };
 
+const EXPERIMENTS: [&str; 9] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path: Option<String> = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--") && !is_experiment_name(p))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_PR4.json".to_string())
-    });
-    let selected: Vec<&str> =
-        args.iter().filter(|a| is_experiment_name(a)).map(|a| a.as_str()).collect();
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
+    let mut quick = false;
+    let mut selected: Vec<String> = Vec::new();
+    for a in std::env::args().skip(1) {
+        if a == "--quick" {
+            quick = true;
+        } else if EXPERIMENTS.contains(&a.as_str()) {
+            selected.push(a);
+        } else {
+            eprintln!("usage: harness [--quick] [e1..e9]...");
+            std::process::exit(2);
+        }
+    }
+    let want = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
 
     println!("DRX-MP evaluation harness (deterministic simulated-time results)");
     println!("================================================================\n");
@@ -110,18 +113,4 @@ fn main() {
         };
         println!("{}", e9_balance::run(p));
     }
-    if want("e10") || json_path.is_some() {
-        let p = if quick { e10_fastpath::quick_params() } else { e10_fastpath::Params::default() };
-        let report = e10_fastpath::run(p);
-        println!("{}", report.table);
-        if let Some(path) = json_path {
-            std::fs::write(&path, &report.json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote {path}");
-        }
-    }
-}
-
-/// `e1`..`e10` style selectors (distinguishes them from a `--json` path).
-fn is_experiment_name(a: &str) -> bool {
-    a.len() >= 2 && a.starts_with('e') && a[1..].chars().all(|c| c.is_ascii_digit())
 }

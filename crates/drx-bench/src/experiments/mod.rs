@@ -3,10 +3,9 @@
 //! The CLUSTER 2007 paper reports no numeric tables; each experiment here
 //! implements a *claim* the paper makes (or the §V future-work comparison it
 //! announces), with deterministic simulated-time results so EXPERIMENTS.md
-//! can record paper-claim vs measured-shape. Criterion benches in
-//! `benches/` wrap the same kernels for wall-clock numbers.
+//! can record paper-claim vs measured-shape. The `harness` binary prints
+//! each experiment's table; it is the one measurement of that claim.
 
-pub mod e10_fastpath;
 pub mod e1_mapping;
 pub mod e2_extension;
 pub mod e3_access_order;
@@ -16,24 +15,6 @@ pub mod e6_ga;
 pub mod e7_ablation;
 pub mod e8_cache;
 pub mod e9_balance;
-
-use crate::table::Table;
-
-/// Run every experiment at harness scale and collect the tables.
-pub fn all_tables() -> Vec<Table> {
-    vec![
-        e1_mapping::run(e1_mapping::Params::default()),
-        e2_extension::run(e2_extension::Params::default()),
-        e3_access_order::run(e3_access_order::Params::default()),
-        e4_parallel::run(e4_parallel::Params::default()),
-        e5_chunk_stripe::run(e5_chunk_stripe::Params::default()),
-        e6_ga::run(e6_ga::Params::default()),
-        e7_ablation::run(e7_ablation::Params::default()),
-        e8_cache::run(e8_cache::Params::default()),
-        e9_balance::run(e9_balance::Params::default()),
-        e10_fastpath::run(e10_fastpath::Params::default()).table,
-    ]
-}
 
 /// Time `f` over `iters` iterations and return ns/op (monotonic clock).
 pub(crate) fn time_per_op(iters: usize, mut f: impl FnMut()) -> u64 {

@@ -4,8 +4,7 @@
 //!   layouts, asserted against the paper's numbers).
 //! * [`experiments`] implements the evaluation suite E1–E9 described in
 //!   DESIGN.md §2, reporting deterministic simulated-time tables.
-//! * `benches/` wraps the same kernels in Criterion for wall-clock numbers.
-//! * Binaries: `figures` (print the figures) and `harness` (run E1–E6 and
+//! * Binaries: `figures` (print the figures) and `harness` (run E1–E9 and
 //!   print the tables recorded in EXPERIMENTS.md).
 
 pub mod experiments;

@@ -953,7 +953,9 @@ mod tests {
         /// bounds are multiples of `granule` and as many domains are
         /// non-empty as record alignment gives (a domain may end at the
         /// hull's end instead). The source and sink see whole records, and
-        /// what is written reads back exactly, collectively and not.
+        /// the sink's records read back what the source wrote. Exactness
+        /// against independent I/O over random stripes is
+        /// `tests/prop_two_phase.rs`'s.
         #[test]
         fn domains_align_to_records_and_stripe_units(
             ranks in 1usize..5,
@@ -1020,9 +1022,6 @@ mod tests {
                     Ok::<_, MsgError>(())
                 })?;
                 assert!(got == data, "collective read-back");
-                let mut got = vec![0xFFu8; len];
-                f.read_at(0, &mut got)?;
-                assert!(got == data, "independent read-back");
                 Ok(())
             })
             .unwrap();

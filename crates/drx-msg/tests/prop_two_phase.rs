@@ -1,8 +1,9 @@
 //! Two-phase collective I/O is independent I/O, byte for byte: `read_all`
 //! and `write_all` through any set of views give exactly what `read_at` and
 //! `write_at` give through the same views — over 1–4 ranks, indexed views
-//! with holes in their hull, empty participants, block sizes that do not
-//! divide the stripe, and one or four PFS I/O workers. A failed server
+//! with holes in their hull, empty participants, random stripe sizes (so
+//! aggregator domains align to stripe units or to bytes, and blocks need
+//! not divide the stripe), and one or four PFS I/O workers. A failed server
 //! fails the collective on every rank with a typed error.
 
 use drx_msg::{run_spmd, Comm, Datatype, MsgError, MsgFile};
@@ -12,12 +13,10 @@ use proptest::prelude::*;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-const STRIPE: u64 = 64;
-
-fn pfs(servers: usize, workers: usize) -> Pfs {
+fn pfs(servers: usize, stripe: u64, workers: usize) -> Pfs {
     Pfs::new(PfsConfig {
         n_servers: servers,
-        stripe_size: STRIPE,
+        stripe_size: stripe,
         io_workers: workers,
         ..PfsConfig::default()
     })
@@ -67,9 +66,10 @@ proptest! {
         masks in prop::collection::vec(0u8..16, 1..24),
         disp in 0u64..50,
         servers in 1usize..5,
+        stripe in 1u64..200,
         four_workers in any::<bool>(),
     ) {
-        let fs = pfs(servers, if four_workers { 4 } else { 1 });
+        let fs = pfs(servers, stripe, if four_workers { 4 } else { 1 });
         let len = disp + masks.len() as u64 * block;
         let raw = pattern(len as usize, 0x5A);
         fs.create("f").unwrap().write_at(0, &raw).unwrap();
@@ -101,11 +101,12 @@ proptest! {
         owners in prop::collection::vec(0u8..5, 1..24),
         disp in 0u64..50,
         servers in 1usize..5,
+        stripe in 1u64..200,
         four_workers in any::<bool>(),
     ) {
         // Block b belongs to rank owners[b]; values >= ranks are holes.
         let masks: Vec<u8> = owners.iter().map(|&o| if (o as usize) < ranks { 1 << o } else { 0 }).collect();
-        let fs = pfs(servers, if four_workers { 4 } else { 1 });
+        let fs = pfs(servers, stripe, if four_workers { 4 } else { 1 });
         run_spmd(ranks, |comm| {
             let ft = view(&masks, comm.rank(), block);
             let (coll, size) = open_with_view(comm, &fs, "coll", disp, ft.clone())?;

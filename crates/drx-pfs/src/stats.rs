@@ -1,11 +1,12 @@
 //! Request statistics and the deterministic cost model.
 //!
-//! Benchmarks need two kinds of numbers: wall-clock time (Criterion measures
-//! that) and *deterministic, reproducible* simulated time that isolates the
-//! access-pattern effects the paper reasons about (seeks, request counts,
-//! transferred bytes) from host noise. Each simulated I/O server charges its
-//! requests against a [`CostModel`] and accumulates busy time; parallel
-//! simulated time is the maximum over servers, total work the sum.
+//! Benchmarks need two kinds of numbers: wall-clock time (perfbench and the
+//! harness's ns/op columns measure that) and *deterministic, reproducible*
+//! simulated time that isolates the access-pattern effects the paper
+//! reasons about (seeks, request counts, transferred bytes) from host
+//! noise. Each simulated I/O server charges its requests against a
+//! [`CostModel`] and accumulates busy time; parallel simulated time is the
+//! maximum over servers, total work the sum.
 
 /// Deterministic cost model of one I/O server, loosely calibrated to a
 /// mid-2000s cluster node (the paper's PVFS2 testbed era): ~8 ms seek,
